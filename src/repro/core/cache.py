@@ -45,6 +45,10 @@ Correctness invariants (each is load-bearing; the differential tests in
   positive nor negative -- because a later probe may arrive with more
   fuel and deserve the deeper search.  :meth:`ResolutionCache.put_failure`
   enforces this with a hard error.
+* **Failures are replayed as fresh exceptions.**  A negative entry keeps
+  a traceback-free copy of the failure, and every hit raises a new copy
+  of it (:func:`fresh_failure`), so no request's stack frames stay
+  reachable from the cache.
 
 Eviction is FIFO with a configurable bound; resolution caches are
 workload-local, and insertion order approximates age well enough without
@@ -124,6 +128,17 @@ class ResolutionCache:
 
     # -- probes ----------------------------------------------------------
 
+    def holds(self, key: tuple, fuel: int) -> bool:
+        """Whether the in-memory table answers ``key`` at ``fuel``.
+
+        Unlike :meth:`get` this never reads through to a backing store
+        (subclasses keep it as is), so it is safe on a thread that must
+        not do disk I/O; the service uses it to spot cache hits.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            return entry is not None and fuel >= entry.min_fuel
+
     def get(self, key: tuple, fuel: int) -> _Entry | None:
         """The entry for ``key`` usable at ``fuel``, or ``None``.
 
@@ -163,7 +178,7 @@ class ResolutionCache:
                 if fuel < existing.min_fuel:
                     existing.min_fuel = fuel
                 return
-            self._insert(key, _Entry(error, False, fuel, env))
+            self._insert(key, _Entry(fresh_failure(error), False, fuel, env))
 
     def _insert(self, key: tuple, entry: _Entry) -> None:
         # Caller holds ``self._lock``.
@@ -206,6 +221,14 @@ class ResolutionCache:
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
+
+
+def fresh_failure(error: ResolutionError) -> ResolutionError:
+    """A new exception equal to ``error``: same class, args and attributes
+    (``span`` among them), but no traceback, cause or context."""
+    fresh = type(error).__new__(type(error), *error.args)
+    fresh.__dict__.update(error.__dict__)
+    return fresh
 
 
 # ---------------------------------------------------------------------------

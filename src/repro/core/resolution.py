@@ -91,7 +91,7 @@ from ..obs.stats import (
     record_subtyping_disagreement_guarded,
 )
 from ..obs.trace import CACHE_HIT, CACHE_MISS, FAILURE, QUERY, SUCCESS, Tracer
-from .cache import ResolutionCache
+from .cache import ResolutionCache, fresh_failure
 from .env import ImplicitEnv, LookupResult, OverlapPolicy, RuleEntry
 from .types import Type, canonical_key, promote
 
@@ -190,12 +190,20 @@ class Derivation:
     assumptions: tuple[Assumption, ...]
     premises: tuple[Premise, ...]
     cycle: CycleToken | None = None
+    #: Memo of :meth:`size`: the tree is frozen, so it is walked once.
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def size(self) -> int:
         """Number of lookup steps in the whole tree (bench metric)."""
-        return 1 + sum(
-            p.derivation.size() for p in self.premises if isinstance(p, ByResolution)
-        )
+        size = self._size
+        if size is None:
+            size = 1 + sum(
+                p.derivation.size()
+                for p in self.premises
+                if isinstance(p, ByResolution)
+            )
+            object.__setattr__(self, "_size", size)
+        return size
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,7 @@ class Resolver:
                     )
                 if entry.is_success:
                     return entry.outcome
-                raise entry.outcome
+                raise fresh_failure(entry.outcome)
             if stats is not None:
                 stats.cache_misses += 1
             if tracer is not None:

@@ -62,16 +62,22 @@ class Type:
     """Base class of all implicit-calculus types.
 
     Instances are immutable, interned and carry cached structural
-    metadata in slots (``_hash``, ``_ftv``, ``_size``, ``_key``); there is
-    no instance ``__dict__``, so attribute injection is impossible.
+    metadata in slots (``_hash``, ``_ftv``, ``_size``, ``_key``, plus the
+    lazily printed ``_str``); there is no instance ``__dict__``, so
+    attribute injection is impossible.
     """
 
     __slots__ = ()
 
-    def __str__(self) -> str:  # pragma: no cover - delegated
-        from .pretty import pretty_type
+    def __str__(self) -> str:
+        try:
+            return self._str
+        except AttributeError:  # first print of this node; the slot is unset
+            from .pretty import pretty_type
 
-        return pretty_type(self)
+            text = pretty_type(self)
+            object.__setattr__(self, "_str", text)
+            return text
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(
@@ -87,7 +93,7 @@ class Type:
 class TVar(Type):
     """A type variable ``alpha``."""
 
-    __slots__ = ("name", "_hash", "_ftv", "_size", "_key", "__weakref__")
+    __slots__ = ("name", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__")
     __match_args__ = ("name",)
 
     name: str
@@ -132,7 +138,9 @@ class TCon(Type):
     become ``TCon("Eq", (a,))``.
     """
 
-    __slots__ = ("name", "args", "_hash", "_ftv", "_size", "_key", "__weakref__")
+    __slots__ = (
+        "name", "args", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__",
+    )
     __match_args__ = ("name", "args")
 
     name: str
@@ -186,7 +194,7 @@ class TCon(Type):
 class TFun(Type):
     """A function type ``tau1 -> tau2``."""
 
-    __slots__ = ("arg", "res", "_hash", "_ftv", "_size", "_key", "__weakref__")
+    __slots__ = ("arg", "res", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__")
     __match_args__ = ("arg", "res")
 
     arg: Type
@@ -242,7 +250,10 @@ class RuleType(Type):
     :func:`rule` smart constructor, which collapses them to their head.
     """
 
-    __slots__ = ("tvars", "context", "head", "_hash", "_ftv", "_size", "_key", "__weakref__")
+    __slots__ = (
+        "tvars", "context", "head",
+        "_hash", "_ftv", "_size", "_key", "_str", "__weakref__",
+    )
     __match_args__ = ()
 
     tvars: tuple[str, ...]
@@ -308,11 +319,6 @@ class RuleType(Type):
 
     def __repr__(self) -> str:
         return f"RuleType({self.tvars!r}, {self.context!r}, {self.head!r})"
-
-    def __str__(self) -> str:
-        from .pretty import pretty_type
-
-        return pretty_type(self)
 
 
 def rule(

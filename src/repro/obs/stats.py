@@ -171,12 +171,20 @@ class ResolutionStats:
             setattr(self, f.name, 0)
 
     def merge(self, other: "ResolutionStats") -> None:
-        """Add ``other``'s counters into this object (max for depths)."""
-        for f in fields(self):
-            if f.name == "max_depth":
-                self.max_depth = max(self.max_depth, other.max_depth)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        """Add ``other``'s counters into this object (max for depths).
+
+        Only the counters that fired in ``other`` are touched: a
+        per-request stats object usually has a handful of non-zero
+        counters out of the 33.
+        """
+        mine = self.__dict__
+        for name, value in other.__dict__.items():
+            if value:
+                if name == "max_depth":
+                    if value > mine[name]:
+                        mine[name] = value
+                else:
+                    mine[name] += value
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

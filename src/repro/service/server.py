@@ -8,7 +8,10 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level view)::
     ResolutionService.process_line
         |-- control ops (session/*, stats, ping, shutdown): inline,
         |   they only touch registry state under short locks
-        `-- work ops (resolve, typecheck, run_*): submitted to the
+        |-- a `resolve` the session's derivation cache already holds:
+        |   answered inline on the calling thread (never queued, shed
+        |   or coalesced)
+        `-- other work ops (resolve, typecheck, run_*): submitted to the
             bounded WorkerPool -> Future[response dict]
                 |-- queue past watermark  -> `overloaded` (shed at the door)
                 |-- deadline expired while queued -> `timeout`
@@ -30,6 +33,7 @@ import socketserver
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import Future, wait as wait_futures
 from typing import Any, Callable, TextIO
 
@@ -37,6 +41,7 @@ from .. import __version__
 from ..core.cache import ResolutionCache
 from ..core.parser import parse_core_expr, parse_core_type
 from ..core.pretty import pretty_type
+from ..core.resolution import ResolutionStrategy
 from ..core.terms import EMPTY_SIGNATURE
 from ..core.types import Type
 from ..errors import (
@@ -83,6 +88,12 @@ class ResolutionService:
         self.default_config = default_config or SessionConfig()
         self.stats = ResolutionStats()
         self._stats_lock = threading.Lock()
+        #: Query text -> its parsed, interned type.  Weak-valued: an entry
+        #: lives exactly as long as a derivation cache or a caller holds
+        #: the type, so the memo needs no bound of its own.
+        self._query_types: "weakref.WeakValueDictionary[str, Type]" = (
+            weakref.WeakValueDictionary()
+        )
         self.requests = 0
         self.stopping = threading.Event()
         self._started = time.monotonic()
@@ -178,9 +189,10 @@ class ResolutionService:
     def process_line(self, line: str) -> "dict | Future":
         """One request line -> a response dict or a Future of one.
 
-        Control operations complete inline; work operations return a
-        :class:`~concurrent.futures.Future` resolving to the response
-        dict (never raising -- errors are encoded as error responses).
+        Control operations and derivation-cache hits complete inline;
+        other work operations return a :class:`~concurrent.futures.Future`
+        resolving to the response dict (never raising -- errors are
+        encoded as error responses).
         """
         try:
             request = parse_request(line)
@@ -218,6 +230,10 @@ class ResolutionService:
         deadline = self._deadline_of(request)
         if isinstance(deadline, dict):  # invalid deadline_ms param
             return deadline
+        if request.op == "resolve":
+            request, cached = self._probe(request)
+            if cached:
+                return self._execute(request, deadline)
         try:
             return self.pool.submit(lambda: self._execute(request, deadline))
         except Overloaded as exc:
@@ -242,6 +258,57 @@ class ResolutionService:
 
     # -- request execution -------------------------------------------------
 
+    def _query_type(self, params: dict) -> Type:
+        """The ``type`` param of a query op as an interned :class:`Type`.
+
+        The compact wire path ships the query pre-parsed (decoding
+        interned it); query text is parsed once and then served from
+        the memo.
+        """
+        query = params.get("type")
+        if isinstance(query, Type):
+            return query
+        if not isinstance(query, str):
+            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'type' must be a string")
+        rho = self._query_types.get(query)
+        if rho is None:
+            rho = self._query_types[query] = parse_core_type(query)
+        return rho
+
+    def _probe(self, request: Request) -> "tuple[Request, bool]":
+        """Parse a ``resolve`` query once and probe the session's cache.
+
+        Returns the request with its query parsed (the worker reuses the
+        :class:`Type`) and whether the in-memory derivation cache already
+        holds the answer.  The probe never reads through to a disk store
+        and records no counters: :meth:`_execute` then resolves as usual
+        and counts the hit, or recomputes if the entry was evicted in
+        between -- on the calling thread, reading through to a
+        ``--cache-dir`` store if the session has one.  A request the
+        worker must reject (unknown session, bad query) is left for it
+        to answer.
+        """
+        try:
+            session = self.registry.get(request.params.get("session"))
+            rho = self._query_type(request.params)
+        except Exception:
+            # Whatever the failure (a coded error, the parser's ValueError
+            # for duplicate quantified variables, a RecursionError on a
+            # deeply nested query), the worker answers it as before: an
+            # exception escaping here would end the transport loop.
+            return request, False
+        request = Request(request.id, request.op, {**request.params, "type": rho})
+        resolver = session.resolver
+        cache = resolver.cache
+        if cache is None or resolver.strategy is ResolutionStrategy.SUBTYPING:
+            # The subtyping strategy decides every query before its cache
+            # probe, so even its hits are real work.
+            return request, False
+        key = ResolutionCache.key_for(
+            session.current_env(), rho, resolver.strategy, resolver.policy
+        )
+        return request, cache.holds(key, resolver.fuel)
+
     @staticmethod
     def _deadline_of(request: Request) -> "float | None | dict":
         deadline_ms = request.params.get("deadline_ms")
@@ -256,7 +323,8 @@ class ResolutionService:
         return time.monotonic() + deadline_ms / 1000.0
 
     def _execute(self, request: Request, deadline: float | None) -> dict:
-        """Runs on a worker thread; always returns a response dict."""
+        """Runs on a worker thread, or inline for a derivation-cache hit;
+        always returns a response dict."""
         request_stats = ResolutionStats()
         session = None
         session_name = request.params.get("session")
@@ -436,27 +504,24 @@ class ResolutionService:
         self, request: Request, deadline: float | None, request_stats: ResolutionStats
     ) -> dict:
         session = self.registry.get(request.params.get("session"))
-        query_text = request.params.get("type")
-        if isinstance(query_text, Type):
-            # The compact wire path ships the query pre-parsed; decoding
-            # interned it, so no text parser runs on the sharded hot path.
-            rho = query_text
-        elif isinstance(query_text, str):
-            rho = parse_core_type(query_text)
-        else:
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'type' must be a string")
+        rho = self._query_type(request.params)
         env = session.current_env()
         resolver = session.resolver_for(deadline)
         key = None
         if deadline is None:
-            # The derivation-cache key *is* the identity of this unit of
-            # work (PR-1): identical concurrent queries share one proof.
-            key = (
-                "resolve",
-                session.name,
-                ResolutionCache.key_for(env, rho, resolver.strategy, resolver.policy),
-                resolver.fuel,
+            cache_key = ResolutionCache.key_for(
+                env, rho, resolver.strategy, resolver.policy
             )
+            # The derivation-cache key *is* the identity of this unit of
+            # work: identical concurrent queries share one proof.  A query
+            # the cache already answers has nothing to share -- unless the
+            # subtyping strategy still decides it before the cache probe.
+            if (
+                resolver.cache is None
+                or resolver.strategy is ResolutionStrategy.SUBTYPING
+                or not resolver.cache.holds(cache_key, resolver.fuel)
+            ):
+                key = ("resolve", session.name, cache_key, resolver.fuel)
 
         def work() -> dict:
             derivation = resolver.resolve(env, rho)
@@ -494,13 +559,7 @@ class ResolutionService:
         from ..subtyping import SubtypingVerdict, decide
 
         session = self.registry.get(request.params.get("session"))
-        query_text = request.params.get("type")
-        if isinstance(query_text, Type):
-            rho = query_text
-        elif isinstance(query_text, str):
-            rho = parse_core_type(query_text)
-        else:
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'type' must be a string")
+        rho = self._query_type(request.params)
         env = session.current_env()
 
         def work() -> dict:

@@ -19,6 +19,7 @@ from repro.errors import (
     ResolutionDivergenceError,
 )
 from repro.obs import ResolutionStats
+from repro.span import Span
 
 A = TVar("a")
 SYN = ResolutionStrategy.SYNTACTIC
@@ -191,8 +192,41 @@ class TestNegativeCaching:
         with pytest.raises(NoMatchingRuleError) as second:
             resolver.resolve(pair_env, CHAR)
         assert stats.cache_hits == 1
-        # The cached failure is replayed verbatim.
-        assert second.value is first.value
+        # The cached failure is replayed as a fresh, equal exception.
+        assert type(second.value) is type(first.value)
+        assert str(second.value) == str(first.value)
+        assert second.value.code == first.value.code
+        assert second.value.span == first.value.span
+
+    def test_cached_failure_pins_no_frames(self, pair_env):
+        # Re-raising one cached exception object would grow its
+        # traceback on every hit and keep each request's frames alive.
+        cache = ResolutionCache()
+        resolver = Resolver(cache=cache)
+        key = ResolutionCache.key_for(pair_env, CHAR, SYN, REJECT)
+        for _ in range(1000):
+            with pytest.raises(NoMatchingRuleError) as caught:
+                resolver.resolve(pair_env, CHAR)
+            assert caught.value.__traceback__ is not None
+            cached = cache.get(key, resolver.fuel).outcome
+            assert cached.__traceback__ is None
+            assert cached is not caught.value
+        assert cached.__context__ is None and cached.__cause__ is None
+        assert len(cache) == 1
+
+    def test_replayed_failure_keeps_code_and_span(self, pair_env):
+        cache = ResolutionCache()
+        resolver = Resolver(cache=cache)
+        key = ResolutionCache.key_for(pair_env, CHAR, SYN, REJECT)
+        span = Span.point(3, 7)
+        cache.put_failure(
+            key, NoMatchingRuleError("no rule", span=span), pair_env, resolver.fuel
+        )
+        with pytest.raises(NoMatchingRuleError) as caught:
+            resolver.resolve(pair_env, CHAR)
+        assert caught.value.args == ("no rule",)
+        assert caught.value.span == span
+        assert caught.value.code == NoMatchingRuleError.code
 
     def test_overlap_failure_is_cached(self):
         env = ImplicitEnv.empty().push([rule(INT, [BOOL]), rule(INT, [CHAR])])

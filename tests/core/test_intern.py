@@ -111,6 +111,22 @@ class TestCachedMetadata:
         assert ftv(tau) == frozenset(self._naive_ftv(tau))
         assert type_size(tau) == self._naive_size(tau)
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            INT,
+            TVar("x"),
+            TFun(TVar("a"), pair(INT, TVar("b"))),
+            rule(pair(TVar("a"), TVar("a")), [TVar("a"), BOOL], ["a"]),
+        ],
+    )
+    def test_printed_text_is_cached(self, tau):
+        from repro.core.pretty import pretty_type
+
+        text = str(tau)
+        assert text == pretty_type(tau)
+        assert str(tau) is text
+
     def test_subterms_is_preorder(self):
         tau = TFun(INT, pair(TVar("a"), BOOL))
         assert list(subterms(tau)) == [

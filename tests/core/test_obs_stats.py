@@ -5,7 +5,11 @@ from the resolution rules, so any change to how often lookup/unification
 runs -- intended or not -- shows up as a diff against a worked example.
 """
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import ResolutionCache
 from repro.core.env import ImplicitEnv
@@ -299,6 +303,28 @@ class TestStatsValue:
         assert a.resolve_steps == 22
         assert a.max_depth == 3
         assert a.unify_calls == 44
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=33, max_size=33),
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=50)),
+            min_size=33,
+            max_size=33,
+        ),
+    )
+    def test_merge_equals_the_field_by_field_definition(self, mine, theirs):
+        names = [f.name for f in fields(ResolutionStats)]
+        assert len(names) == 33
+        a = ResolutionStats(**dict(zip(names, mine)))
+        b = ResolutionStats(**dict(zip(names, theirs)))
+        expected = {
+            name: max(x, y) if name == "max_depth" else x + y
+            for name, x, y in zip(names, mine, theirs)
+        }
+        a.merge(b)
+        assert a.as_dict() == expected
+        assert b.as_dict() == dict(zip(names, theirs))  # other is untouched
 
     def test_reset_and_snapshot(self):
         stats = ResolutionStats(queries=5, cache_hits=2)

@@ -27,6 +27,18 @@ class TestSimpleResolution:
         derivation = resolve(pair_env, pair(INT, INT))
         assert derivation.size() == 2  # pair rule, then Int
 
+    def test_size_is_memoized_and_survives_replace(self, pair_env):
+        from dataclasses import replace
+
+        derivation = resolve(pair_env, pair(pair(INT, INT), pair(INT, INT)), cache=None)
+        assert derivation.size() == 3
+        assert derivation._size == 3
+        # The memo is no field: equality, repr and replace() ignore it.
+        copy = replace(derivation)
+        assert copy == derivation
+        assert copy._size is None and copy.size() == 3
+        assert "_size" not in repr(derivation)
+
     def test_recursion_structure(self, pair_env):
         derivation = resolve(pair_env, pair(INT, INT))
         (premise,) = derivation.premises

@@ -6,18 +6,20 @@ counter plumbing while staying deterministic: blocking is always on
 explicit events or on ``debug/sleep``, never on timing guesses.
 """
 
+import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
+from repro.core.cache import ResolutionCache
 from repro.core.env import ImplicitEnv, RuleEntry
 from repro.core.parser import parse_core_type
 from repro.core.resolution import Resolver
 from repro.errors import DeadlineExceededError
 from repro.pipeline import Semantics, run_source
-from repro.service.protocol import ErrorCode
+from repro.service.protocol import ErrorCode, encode
 from repro.service.server import ResolutionService
 
 CHAIN = ["C0"] + ["{C%d} => C%d" % (i - 1, i) for i in range(1, 9)]
@@ -440,6 +442,44 @@ class TestCoalescing:
         assert all(f.result(timeout=10)["ok"] for f in futures)
         assert service.flight.waiting() == 0
 
+    def test_cached_subtyping_queries_still_coalesce(self, service, monkeypatch):
+        # A subtyping session decides every query before its cache probe,
+        # so even a hit is real work worth sharing.
+        assert service.handle_sync(
+            {
+                "id": 0,
+                "op": "session/new",
+                "params": {"name": "t", "rules": CHAIN, "strategy": "subtyping"},
+            }
+        )["ok"]
+        assert service.handle_sync(json.loads(_resolve_line(1, "C8")))["ok"]
+        started = threading.Event()
+        release = threading.Event()
+        executions = []
+        original = Resolver.resolve
+
+        def gated(self, env, rho):
+            executions.append(rho)
+            started.set()
+            assert release.wait(timeout=10)
+            return original(self, env, rho)
+
+        monkeypatch.setattr(Resolver, "resolve", gated)
+        leader = service.process_line(_resolve_line(2, "C8"))
+        assert isinstance(leader, Future)
+        assert started.wait(timeout=10)
+        followers = [service.process_line(_resolve_line(3 + i, "C8")) for i in range(3)]
+        deadline = time.monotonic() + 10
+        while service.flight.waiting() < 3:
+            assert time.monotonic() < deadline, "followers never joined the flight"
+            time.sleep(0.005)
+        release.set()
+        responses = [leader.result(timeout=10)] + [
+            f.result(timeout=10) for f in followers
+        ]
+        assert all(r["ok"] for r in responses)
+        assert len(executions) == 1
+
     def test_coalescing_can_be_disabled(self):
         service = ResolutionService(workers=2, queue_depth=8, coalesce=False)
         try:
@@ -453,9 +493,171 @@ class TestCoalescing:
 
 
 def _tail(request):
-    import json
-
     return json.dumps(request)[1:-1]
+
+
+def _resolve_line(request_id, query, **params):
+    return json.dumps(
+        {
+            "id": request_id,
+            "op": "resolve",
+            "params": {"session": "t", "type": query, **params},
+        }
+    )
+
+
+class TestCacheHitsInline:
+    """A resolve the derivation cache holds is answered on the calling thread."""
+
+    def test_hit_is_answered_inline(self, service):
+        new_session(service)
+        miss = service.process_line(_resolve_line(1, "C8"))
+        assert isinstance(miss, Future)
+        assert miss.result(timeout=10)["ok"]
+        hit = service.process_line(_resolve_line(2, "C8"))
+        assert isinstance(hit, dict)
+        assert hit["ok"] and hit["result"]["size"] == 9
+
+    @pytest.mark.parametrize(
+        "query, params",
+        [
+            ("C8", {}),
+            ("C5", {"explain": True, "signature": True}),
+            ("Bool", {}),  # a cached resolution_failure
+        ],
+    )
+    def test_inline_hit_matches_the_pooled_answer(
+        self, service, monkeypatch, query, params
+    ):
+        new_session(service)
+        service.handle_sync(json.loads(_resolve_line(0, query)))  # warm
+        line = _resolve_line(7, query, stats=True, **params)
+        inline = service.process_line(line)
+        assert isinstance(inline, dict)
+        # Hide the entry from the probe: the same hit then runs on a worker.
+        monkeypatch.setattr(ResolutionCache, "holds", lambda self, key, fuel: False)
+        pooled = service.process_line(line)
+        assert isinstance(pooled, Future)
+        pooled = pooled.result(timeout=10)
+        assert encode(inline) == encode(pooled)
+        assert inline["stats"]["cache_hits"] == 1
+        assert inline["stats"]["cache_misses"] == 0
+
+    def test_hit_is_answered_while_the_pool_is_saturated(self):
+        service = ResolutionService(workers=1, queue_depth=1)
+        try:
+            new_session(service)
+            assert service.handle_sync(json.loads(_resolve_line(0, "C8")))["ok"]
+            blocker = service.process_line(
+                '{"id": 1, "op": "debug/sleep", "params": {"seconds": 2.0}}'
+            )
+            sleepers = [blocker]
+            while all(isinstance(s, Future) for s in sleepers):
+                assert len(sleepers) < 8, "pool never saturated"
+                sleepers.append(
+                    service.process_line(
+                        '{"id": 2, "op": "debug/sleep", "params": {"seconds": 0}}'
+                    )
+                )
+            # Pool and queue are full: new work is shed, a hit is not.
+            hit = service.process_line(_resolve_line(3, "C8"))
+            assert isinstance(hit, dict) and hit["ok"], hit
+            assert not blocker.done()
+            for sleeper in sleepers:
+                if isinstance(sleeper, Future):
+                    sleeper.result(timeout=10)
+        finally:
+            service.shutdown()
+
+    def test_expired_deadline_on_a_hit_still_times_out(self, service):
+        new_session(service)
+        service.handle_sync(json.loads(_resolve_line(0, "C0")))
+        response = service.process_line(_resolve_line(1, "C0", deadline_ms=0))
+        assert isinstance(response, dict)
+        assert response["error"]["code"] == ErrorCode.TIMEOUT
+        counters = service.handle_sync({"id": 2, "op": "server/stats"})["result"][
+            "counters"
+        ]
+        assert counters["deadline_timeouts"] == 1
+
+    @pytest.mark.parametrize(
+        "params, code",
+        [
+            ({"session": "t", "type": "(((("}, ErrorCode.PROGRAM_PARSE_ERROR),
+            ({"session": "t", "type": 42}, ErrorCode.INVALID_REQUEST),
+            ({"session": "ghost", "type": "C0"}, ErrorCode.UNKNOWN_SESSION),
+            # The core parser raises a ValueError here, not a ParseError.
+            ({"session": "t", "type": "forall a a . {a} => a"}, None),
+        ],
+    )
+    def test_bad_queries_are_left_to_the_worker(self, service, params, code):
+        new_session(service)
+        outcome = service.process_line(
+            json.dumps({"id": 1, "op": "resolve", "params": params})
+        )
+        assert isinstance(outcome, Future)
+        response = outcome.result(timeout=10)
+        assert not response["ok"]
+        assert code is None or response["error"]["code"] == code
+
+    def test_deeply_nested_query_is_answered_and_service_survives(self, service):
+        # Deep enough to exhaust the recursive-descent parser's stack.
+        query = "(" * 2000 + "C0" + ")" * 2000
+        new_session(service)
+        outcome = service.process_line(_resolve_line(1, query))
+        assert isinstance(outcome, Future)
+        response = outcome.result(timeout=10)
+        assert not response["ok"]
+        ping = service.process_line('{"id": 2, "op": "ping"}')
+        assert isinstance(ping, dict) and ping["ok"]
+
+    def test_query_text_is_parsed_once(self, service, monkeypatch):
+        from repro.service import server
+
+        new_session(service)
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_core_type(text)
+
+        monkeypatch.setattr(server, "parse_core_type", counting)
+        query = "{C0} => C8"
+        for i in range(3):
+            assert service.handle_sync(json.loads(_resolve_line(i, query)))["ok"]
+        assert parsed == [query]
+
+    def test_disk_only_entry_is_loaded_by_a_worker(self, tmp_path, monkeypatch):
+        from repro.store import DerivationStore
+
+        service = ResolutionService(workers=1, queue_depth=4, cache_dir=str(tmp_path))
+        try:
+            assert service.handle_sync(
+                {
+                    "id": 0,
+                    "op": "session/new",
+                    "params": {"name": "t", "rules": CHAIN, "cache_entries": 1},
+                }
+            )["ok"]
+            # C2 resolves through C1; with one in-memory slot, C1 is left
+            # on disk only.
+            assert service.handle_sync(json.loads(_resolve_line(1, "C2")))["ok"]
+            fetch_threads = []
+            original = DerivationStore.fetch
+
+            def recording(self, key, fuel):
+                fetch_threads.append(threading.current_thread())
+                return original(self, key, fuel)
+
+            monkeypatch.setattr(DerivationStore, "fetch", recording)
+            outcome = service.process_line(_resolve_line(2, "C1", stats=True))
+            assert isinstance(outcome, Future)
+            response = outcome.result(timeout=10)
+            assert response["ok"] and response["stats"]["store_hits"] == 1
+            assert fetch_threads
+            assert threading.current_thread() not in fetch_threads
+        finally:
+            service.shutdown()
 
 
 class TestConcurrentDifferential:
