@@ -12,7 +12,7 @@ snapshot (``BENCH_<date>.json`` in the repository root by default;
 ``--json PATH`` overrides) containing the per-row verdicts and wall
 times, the aggregate resolution counters for the whole run, and -- unless
 ``--quick`` is passed -- a timing section covering the two headline
-performance claims: head-constructor indexed lookup vs the naive scan on
+performance claims: indexed (compiled) lookup vs the naive scan on
 a wide environment, and cached vs uncached repeated resolution.
 ``--quick`` is the CI smoke mode: correctness rows only.
 """
@@ -251,13 +251,15 @@ def _run_timings() -> dict:
     from repro.core.cache import ResolutionCache
     from repro.core.env import OverlapPolicy
     from repro.core.resolution import Resolver
+    from repro.fuzz.reference import NaiveEnv
 
     timings: dict = {}
 
     env, queries = indexed_workload(120)
     policy = OverlapPolicy.MOST_SPECIFIC
-    naive = _timed(Resolver(policy=policy, cache=None, use_index=False), env, queries)
-    indexed = _timed(Resolver(policy=policy, cache=None, use_index=True), env, queries)
+    resolver = Resolver(policy=policy, cache=None)
+    naive = _timed(resolver, NaiveEnv.of(env), queries)
+    indexed = _timed(resolver, env, queries)
     timings["wide_lookup"] = {
         "width": 120,
         "naive_seconds": round(naive, 6),
@@ -292,7 +294,7 @@ def _run_timings() -> dict:
 
     timings["service"] = measure_service(one_shot_calls=150, warm_requests=300)
 
-    # B12: compiled trie matchers vs interpreted lookup, wide and deep.
+    # B12: compiled trie matchers vs the naive scan, wide and deep.
     from benchmarks.bench_compiled_env import measure_compiled_env
 
     timings["compiled_env"] = measure_compiled_env(width=120, depth=60)

@@ -27,11 +27,6 @@ Options:
     --stats            print resolution counters (cache hit rate, lookups,
                        unifications, recursion depth, fuel) to stderr
     --no-cache         disable the resolution derivation cache
-    --index/--no-index enable/disable head-constructor indexed lookup
-                       (default: enabled; see docs/PERFORMANCE.md)
-    --compile/--no-compile enable/disable compiled discrimination-trie
-                       matchers for frozen rule environments (default:
-                       disabled; see docs/PERFORMANCE.md)
     --trace            print the resolution trace-event stream to stderr
 """
 
@@ -43,7 +38,7 @@ import sys
 import re
 
 from .core.cache import ResolutionCache
-from .core.env import OverlapPolicy, set_compiling, set_indexing
+from .core.env import OverlapPolicy
 from .core.parser import parse_core_expr
 from .core.pretty import pretty_expr, pretty_type
 from .core.resolution import ResolutionStrategy, Resolver
@@ -145,21 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="persist resolved derivations to an on-disk store under "
             "DIR and answer repeat queries from it across runs "
             "(docs/PERSISTENCE.md)",
-        )
-        cmd.add_argument(
-            "--index",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="head-constructor indexed rule lookup (on by default; "
-            "--no-index forces the naive frame scan)",
-        )
-        cmd.add_argument(
-            "--compile",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="compile frozen rule environments to discrimination-trie "
-            "matchers (off by default; pays off on repeated lookups "
-            "against wide environments)",
         )
         cmd.add_argument(
             "--trace",
@@ -300,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="restrict to one oracle (repeatable); default: the full "
-        "matrix (index, compiled, cache, logic, semantics, service, "
+        "matrix (compiled, cache, logic, semantics, service, "
         "sharded, alpha, permute, lint, store, corecursive, subtyping)",
     )
     fuzz.add_argument(
@@ -587,8 +567,6 @@ def main(argv: list[str] | None = None) -> int:
         except ImplicitCalculusError as exc:
             return report_error(exc)
     resolver = _resolver(args, tracer, store)
-    previous_indexing = set_indexing(args.index)
-    previous_compiling = set_compiling(args.compile)
     try:
         with collecting(stats):
             if args.core:
@@ -628,8 +606,6 @@ def main(argv: list[str] | None = None) -> int:
     except ImplicitCalculusError as exc:
         return report_error(exc)
     finally:
-        set_indexing(previous_indexing)
-        set_compiling(previous_compiling)
         if store is not None:
             store.close()
         if tracer is not None and len(tracer):

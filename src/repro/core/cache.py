@@ -28,10 +28,13 @@ Correctness invariants (each is load-bearing; the differential tests in
   elaborator's ``TrRes`` turns ``lookup.payload`` into a System F term).
   The key therefore also contains the environment's
   :meth:`~repro.core.env.ImplicitEnv.payload_witness` -- per-entry
-  payload object identities -- and every cache entry keeps a strong
-  reference to the environment it was computed against, so those ids can
-  never be recycled by the allocator while the cache lives.  Two keys
-  match only if the payloads are the *same objects*.
+  payload object identities -- and every cache entry whose witness names
+  a payload keeps a strong reference to the environment it was computed
+  against, so those ids can never be recycled by the allocator while the
+  cache lives.  Two keys match only if the payloads are the *same
+  objects*.  A payload-less environment (an all-``None`` witness) has no
+  ids to protect, so its entries do not keep it -- or its compiled
+  frames -- alive after the scope that pushed it is gone.
 * **Fuel monotonicity.**  An outcome (success or failure) observed with
   ``f`` units of fuel is identical for every fuel ``>= f``: fuel only
   converts deep exploration into :class:`ResolutionDivergenceError`, and
@@ -48,7 +51,10 @@ Correctness invariants (each is load-bearing; the differential tests in
 * **Failures are replayed as fresh exceptions.**  A negative entry keeps
   a traceback-free copy of the failure, and every hit raises a new copy
   of it (:func:`fresh_failure`), so no request's stack frames stay
-  reachable from the cache.
+  reachable from the cache.  It also keeps the failed query's
+  :class:`~repro.core.types.Type`, as a success does through its
+  derivation, so weak memos keyed on query text (the service's) keep
+  answering while the entry lives.
 
 Eviction is FIFO with a configurable bound; resolution caches are
 workload-local, and insertion order approximates age well enough without
@@ -86,14 +92,26 @@ DEFAULT_MAX_ENTRIES = 4096
 class _Entry:
     """One cached outcome plus the metadata needed to replay it safely."""
 
-    __slots__ = ("outcome", "is_success", "min_fuel", "env")
+    __slots__ = ("outcome", "is_success", "min_fuel", "env", "query")
 
-    def __init__(self, outcome: Any, is_success: bool, min_fuel: int, env: ImplicitEnv):
+    def __init__(
+        self,
+        outcome: Any,
+        is_success: bool,
+        min_fuel: int,
+        key: tuple,
+        env: ImplicitEnv | None,
+        query: Type | None = None,
+    ):
         self.outcome = outcome
         self.is_success = is_success
         self.min_fuel = min_fuel
-        #: Strong reference pinning the payload ids in the key (see module docs).
-        self.env = env
+        #: Strong reference pinning the payload ids in the key, ``None``
+        #: when the key's witness names none (see module docs).
+        witness = key[1]
+        self.env = env if witness.count(None) != len(witness) else None
+        #: A failure's query type (a success's derivation holds its own).
+        self.query = query
 
 
 class ResolutionCache:
@@ -162,10 +180,15 @@ class ResolutionCache:
                 if fuel < existing.min_fuel:
                     existing.min_fuel = fuel
                 return
-            self._insert(key, _Entry(derivation, True, fuel, env))
+            self._insert(key, _Entry(derivation, True, fuel, key, env))
 
     def put_failure(
-        self, key: tuple, error: ResolutionError, env: ImplicitEnv, fuel: int
+        self,
+        key: tuple,
+        error: ResolutionError,
+        env: ImplicitEnv,
+        fuel: int,
+        query: Type | None = None,
     ) -> None:
         if isinstance(error, (ResolutionDivergenceError, DeadlineExceededError)):
             raise ValueError(
@@ -178,7 +201,9 @@ class ResolutionCache:
                 if fuel < existing.min_fuel:
                     existing.min_fuel = fuel
                 return
-            self._insert(key, _Entry(fresh_failure(error), False, fuel, env))
+            self._insert(
+                key, _Entry(fresh_failure(error), False, fuel, key, env, query)
+            )
 
     def _insert(self, key: tuple, entry: _Entry) -> None:
         # Caller holds ``self._lock``.
@@ -208,7 +233,7 @@ class ResolutionCache:
                 if min_fuel < existing.min_fuel:
                     existing.min_fuel = min_fuel
                 return
-            self._insert(key, _Entry(outcome, is_success, min_fuel, env))
+            self._insert(key, _Entry(outcome, is_success, min_fuel, key, env))
 
     # -- maintenance -----------------------------------------------------
 

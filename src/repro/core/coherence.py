@@ -42,14 +42,8 @@ from itertools import combinations
 from typing import Iterable
 
 from ..errors import CoherenceError, NoMatchingRuleError, OverlappingRulesError
-from .env import (
-    FrameIndex,
-    ImplicitEnv,
-    OverlapPolicy,
-    RuleEntry,
-    compiling_enabled,
-    indexing_enabled,
-)
+from .compile_env import CompiledFrame
+from .env import ImplicitEnv, OverlapPolicy, RuleEntry
 from .subst import Subst, fresh_tvar, subst_type
 from .types import (
     RuleType,
@@ -118,13 +112,7 @@ def has_most_specific(context: Iterable[Type]) -> bool:
     ``Int -> Int`` itself repairs the set.
     """
     context = tuple(context)
-    frame = tuple(RuleEntry(rho) for rho in context)
-    compiled = None
-    if compiling_enabled():
-        from .compile_env import compiled_frame_for
-
-        compiled = compiled_frame_for(frame)
-    index = FrameIndex(frame) if compiled is None and indexing_enabled() else None
+    compiled = CompiledFrame(tuple(RuleEntry(rho) for rho in context))
     heads = [_freshened_head(rho) for rho in context]
     for h1, h2 in combinations(heads, 2):
         if _rigid_syms_differ(h1, h2):
@@ -134,9 +122,7 @@ def has_most_specific(context: Iterable[Type]) -> bool:
             continue
         meet = subst_type(theta, h1)
         try:
-            result = env_frame_lookup(
-                frame, meet, OverlapPolicy.MOST_SPECIFIC, index, compiled
-            )
+            result = env_frame_lookup(compiled, meet, OverlapPolicy.MOST_SPECIFIC)
         except OverlappingRulesError:
             return False
         if result is None:  # pragma: no cover - meet always matches
@@ -272,64 +258,23 @@ def check_query_coherence(
 
 
 def _winning_entry(env: ImplicitEnv, head: Type, policy: OverlapPolicy):
-    frames = env.frames()
-    compiled_frames = None
-    if compiling_enabled():
-        from .compile_env import compiled_env_for
-
-        compiled_frames = compiled_env_for(env).frames
-    indexes = (
-        env.indexes() if compiled_frames is None and indexing_enabled() else None
-    )
-    for depth in range(len(frames) - 1, -1, -1):
-        try:
-            result = env_frame_lookup(
-                frames[depth],
-                head,
-                policy,
-                indexes[depth] if indexes is not None else None,
-                compiled_frames[depth] if compiled_frames is not None else None,
-            )
-        except OverlappingRulesError:
-            raise
+    compiled = env.compiled_frames()
+    for depth in range(len(compiled) - 1, -1, -1):
+        result = env_frame_lookup(compiled[depth], head, policy)
         if result is not None:
             return depth, result.entry
     return None, None
 
 
-def env_frame_lookup(
-    frame,
-    head: Type,
-    policy: OverlapPolicy,
-    index: FrameIndex | None = None,
-    compiled=None,
-):
-    """Lookup restricted to one rule set (internal helper).
-
-    ``compiled``, when given, is the frame's
-    :class:`~repro.core.compile_env.CompiledFrame` and replaces the
-    interpreted scan entirely (same matches, same entry order).
-    """
-    from .env import _frame_matches, _most_specific
-
-    if compiled is not None:
-        matched = compiled.matches(head)
-        if not matched:
-            return None
-        if len(matched) > 1:
-            if policy is OverlapPolicy.REJECT:
-                raise OverlappingRulesError(
-                    f"query {head} matches {len(matched)} rules in one rule set"
-                )
-            return compiled.most_specific(matched, head)
-        return matched[0][1]
-    matches = _frame_matches(frame, head, index)
-    if not matches:
+def env_frame_lookup(compiled: CompiledFrame, head: Type, policy: OverlapPolicy):
+    """Lookup restricted to one (compiled) rule set (internal helper)."""
+    matched = compiled.matches(head)
+    if not matched:
         return None
-    if len(matches) > 1:
+    if len(matched) > 1:
         if policy is OverlapPolicy.REJECT:
             raise OverlappingRulesError(
-                f"query {head} matches {len(matches)} rules in one rule set"
+                f"query {head} matches {len(matched)} rules in one rule set"
             )
-        return _most_specific(matches, head)
-    return matches[0]
+        return compiled.most_specific(matched, head)
+    return matched[0][1]

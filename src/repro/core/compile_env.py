@@ -1,8 +1,8 @@
 """Compiled environment matchers: discrimination tries + per-rule code.
 
-Theorem 1 reads an implicit environment as a logic program; PR 2's
-head-constructor indexing exploited only the root symbol of that
-reading.  This module compiles a *frozen* environment the rest of the
+Theorem 1 reads an implicit environment as a logic program; classic
+first-argument indexing would exploit only the root symbol of that
+reading.  This module compiles each *frozen* rule set the rest of the
 way down, in the classic term-indexing style (discrimination tries over
 flattened term skeletons, as in the Handbook of Automated Reasoning's
 indexing chapter and Kiselyov et al.'s typeclasses-as-logic-programming
@@ -38,48 +38,30 @@ where most of the steady-state wide-environment speedup comes from; the
 trie is what keeps the *first* scan of each query sublinear in the
 frame width.
 
-Artifacts are memoized like ``program_of_env``: compiled frames by frame
-identity (frames are immutable tuples shared structurally by ``push``,
-so an environment and everything pushed on top of it share compiled
-frames), compiled environments by ``(fingerprint, payload witness)``
-with an identity check on the frame stack, so a fingerprint can never
-alias entries with different payload objects -- lookup results must
-return the *very same* :class:`RuleEntry` objects the interpreted path
-returns.  Push/pop never sees a stale artifact because environments and
-frames are immutable: popping resumes the parent environment, whose
-compiled form is keyed by its own fingerprint.
+Compiled frames are owned by the environment (:class:`ImplicitEnv`
+keeps one :class:`CompiledFrame` per rule set and ``push`` shares the
+parent's by reference), and each is built on its first lookup: until
+then it is one small object, so short-lived scopes that are never
+queried cost nothing extra.  Push/pop never sees a stale artifact
+because environments and frames are immutable: popping resumes the
+parent environment, which still holds its own compiled frames.  Lookup
+results carry the very same :class:`RuleEntry` objects as the frame.
 
-Everything is toggled like PR 2's indexing: globally via
-:func:`set_compiling` / :func:`compiling` (CLI ``--compile``), per call
-via ``use_compiled``.  The compiled and interpreted paths are observably
-equivalent -- same results, same failures, byte-identical messages --
-which ``tests/property/test_property_compile.py`` and the ``compiled``
-fuzz oracle enforce.
+The compiled path is the only production lookup.  It is observably
+equivalent to the naive frame scan -- same results, same failures,
+byte-identical messages -- which ``tests/property/test_property_compile.py``
+and the ``compiled`` fuzz oracle enforce against the reference scan in
+:mod:`repro.fuzz.reference`.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from ..errors import (
-    AmbiguousRuleTypeError,
-    NoMatchingRuleError,
-    OverlappingRulesError,
-)
+from ..errors import AmbiguousRuleTypeError, OverlappingRulesError
 from ..obs import record_compiled
-from .env import (
-    ImplicitEnv,
-    LookupResult,
-    OverlapPolicy,
-    RuleEntry,
-    _more_specific,
-    _try_match,
-    compiling,
-    compiling_enabled,
-    set_compiling,
-)
+from .env import ImplicitEnv, LookupResult, RuleEntry, _more_specific, _try_match
 from .subst import subst_type
 from .types import (
     RuleType,
@@ -96,18 +78,13 @@ from .unify import _Fail, _unify
 __all__ = [
     "DiscriminationTrie",
     "CompiledFrame",
-    "CompiledEnv",
-    "compiled_frame_for",
-    "compiled_env_for",
-    "clear_compiled_cache",
-    "compiling",
-    "compiling_enabled",
-    "set_compiling",
     "set_trie_corruption",
     "corrupt_tries",
     "type_pattern_tokens",
     "type_query_tokens",
     "token_extents",
+    "most_specific_error",
+    "trie_key",
 ]
 
 _EMPTY_FSET: frozenset[str] = frozenset()
@@ -535,19 +512,21 @@ def _compile_rule(entry: RuleEntry):
 
 
 # ---------------------------------------------------------------------------
-# Compiled frames and environments.
+# Compiled frames.
 # ---------------------------------------------------------------------------
 
 _AMBIGUOUS = object()
+#: Per-frame cap on memoized query scans (cleared wholesale on overflow;
+#: steady-state programs query far fewer distinct types per scope).
+_MAX_SCAN_MEMO = 1024
 
 
-class CompiledFrame:
-    """One rule set compiled to a trie plus per-rule matchers."""
+class _FrameCode:
+    """A built frame: matchers, trie and the memos over them."""
 
-    __slots__ = ("frame", "rules", "trie", "_pairs", "_decisions", "_scans")
+    __slots__ = ("rules", "trie", "pairs", "decisions", "scans")
 
     def __init__(self, frame: tuple[RuleEntry, ...]):
-        self.frame = frame
         self.rules = tuple(_compile_rule(entry) for entry in frame)
         trie = DiscriminationTrie()
         for pos, entry in enumerate(frame):
@@ -555,36 +534,71 @@ class CompiledFrame:
             trie.insert(type_pattern_tokens(head, frozenset(tvars)), pos)
         self.trie = trie
         #: ``(p, q) -> bool`` memo of ``_more_specific`` between entries.
-        self._pairs: dict[tuple[int, int], bool] = {}
+        self.pairs: dict[tuple[int, int], bool] = {}
         #: matched-position-set -> winning position (or _AMBIGUOUS).
-        self._decisions: dict[tuple[int, ...], Any] = {}
-        #: id(query) -> (query, matches | None, fallbacks, exception).
+        self.decisions: dict[tuple[int, ...], Any] = {}
+        #: id(query) -> (query, matches | None, fallbacks, pruned, exception).
         #: Sound to memoize whole scans: the frame is immutable, queries
         #: are interned, and matching is deterministic -- so a repeated
         #: query replays the recorded outcome (including an ambiguity
         #: error).  The value pins the query, keeping its id valid.
-        self._scans: dict[int, tuple] = {}
+        self.scans: dict[int, tuple] = {}
+
+
+class CompiledFrame:
+    """One rule set compiled to a trie plus per-rule matchers.
+
+    Nothing is compiled until the first :meth:`matches` call; the build
+    goes into a local :class:`_FrameCode` published by one assignment,
+    so a concurrent lookup sees either no artifact or a whole one (two
+    racing first lookups may both build; either result is correct).
+    """
+
+    __slots__ = ("frame", "_code")
+
+    def __init__(self, frame: tuple[RuleEntry, ...]):
+        self.frame = frame
+        self._code: _FrameCode | None = None
+
+    def _built(self) -> _FrameCode:
+        code = self._code
+        if code is None:
+            code = _FrameCode(self.frame)
+            self._code = code
+        return code
+
+    @property
+    def rules(self) -> tuple:
+        return self._built().rules
+
+    @property
+    def trie(self) -> DiscriminationTrie:
+        return self._built().trie
 
     def matches(self, tau: Type) -> list[tuple[int, LookupResult]]:
         """All matches in entry order, via the trie and compiled rules.
 
         Scans are memoized per query object; ``compiled_hits`` /
-        ``compiled_fallbacks`` count *logical* scans, so a memoized
-        replay records the same counters the original scan did.
+        ``compiled_fallbacks`` / ``candidates_pruned`` count *logical*
+        scans, so a memoized replay records the same counters the
+        original scan did.
         """
-        memo = None if _CORRUPT else self._scans.get(id(tau))
+        code = self._built()
+        memo = None if _CORRUPT else code.scans.get(id(tau))
         if memo is not None and memo[0] is tau:
-            record_compiled(memo[2])
-            if memo[3] is not None:
-                raise memo[3]
+            record_compiled(memo[2], memo[3])
+            if memo[4] is not None:
+                raise memo[4]
             return memo[1]
-        positions = self._retrieve(tau)
+        tokens = type_query_tokens(tau)
+        positions = code.trie.retrieve(tokens, token_extents(tokens))
         if _CORRUPT and positions:
             positions = positions[:-1]
         found: list[tuple[int, LookupResult]] = []
         fallbacks = 0
+        pruned = len(self.frame) - len(positions)
         error: AmbiguousRuleTypeError | None = None
-        rules = self.rules
+        rules = code.rules
         try:
             for pos in positions:
                 rule = rules[pos]
@@ -595,36 +609,35 @@ class CompiledFrame:
                     found.append((pos, result))
         except AmbiguousRuleTypeError as exc:
             error = exc
-        record_compiled(fallbacks)
+        record_compiled(fallbacks, pruned)
         if not _CORRUPT:
-            if len(self._scans) >= _MAX_SCAN_MEMO:
-                self._scans.clear()
-            self._scans[id(tau)] = (
+            scans = code.scans
+            if len(scans) >= _MAX_SCAN_MEMO:
+                scans.clear()
+            scans[id(tau)] = (
                 tau,
                 None if error is not None else found,
                 fallbacks,
+                pruned,
                 error,
             )
         if error is not None:
             raise error
         return found
 
-    def _retrieve(self, tau: Type) -> list[int]:
-        tokens = type_query_tokens(tau)
-        return self.trie.retrieve(tokens, token_extents(tokens))
-
     def most_specific(
         self, matched: list[tuple[int, LookupResult]], tau: Type
     ) -> LookupResult:
         """MOST_SPECIFIC winner with position-set memoization.
 
-        Mirrors ``_most_specific``: the first match that is more specific
-        than every other wins, else the overlap error (same wording).
+        The first match that is more specific than every other wins,
+        else the overlap error (:func:`most_specific_error`).
         """
+        code = self._built()
         key = tuple(pos for pos, _ in matched)
-        decision = self._decisions.get(key)
+        decision = code.decisions.get(key)
         if decision is None:
-            pairs = self._pairs
+            pairs = code.pairs
             for pos, result in matched:
                 for other_pos, other in matched:
                     if other_pos == pos:
@@ -640,12 +653,9 @@ class CompiledFrame:
                     break
             else:
                 decision = _AMBIGUOUS
-            self._decisions[key] = decision
+            code.decisions[key] = decision
         if decision is _AMBIGUOUS:
-            raise OverlappingRulesError(
-                f"query {tau}: no unique most-specific rule among: "
-                + ", ".join(str(r.entry.rho) for _, r in matched)
-            )
+            raise most_specific_error(tau, [r for _, r in matched])
         for pos, result in matched:
             if pos == decision:
                 return result
@@ -658,107 +668,16 @@ class CompiledFrame:
         )
 
 
-class CompiledEnv:
-    """A frozen environment's compiled form: one artifact per frame."""
-
-    __slots__ = ("env", "frames")
-
-    def __init__(self, env: ImplicitEnv, frames: tuple[CompiledFrame, ...]):
-        self.env = env
-        self.frames = frames
-
-    def lookup(
-        self, tau: Type, policy: OverlapPolicy = OverlapPolicy.REJECT
-    ) -> LookupResult:
-        """Innermost-first lookup, byte-identical to the interpreted one."""
-        for compiled in reversed(self.frames):
-            matched = compiled.matches(tau)
-            if not matched:
-                continue
-            if len(matched) > 1:
-                if policy is OverlapPolicy.REJECT:
-                    raise OverlappingRulesError(
-                        f"query {tau} matches {len(matched)} rules in one rule set: "
-                        + ", ".join(str(r.entry.rho) for _, r in matched)
-                    )
-                return compiled.most_specific(matched, tau)
-            return matched[0][1]
-        raise NoMatchingRuleError(
-            f"no rule matching {tau} in the implicit environment"
-        )
-
-    def lookup_all(self, tau: Type) -> Iterator[LookupResult]:
-        for compiled in reversed(self.frames):
-            for _, result in compiled.matches(tau):
-                yield result
-
-    def describe(self) -> tuple:
-        return tuple(compiled.describe() for compiled in self.frames)
-
-    def trie_key(self) -> bytes:
-        """Deterministic serialized artifact identity: equal fingerprints
-        (alpha-equivalent frame stacks) yield byte-identical keys."""
-        return repr(self.describe()).encode()
+def most_specific_error(tau: Type, matches: list[LookupResult]) -> OverlappingRulesError:
+    """The MOST_SPECIFIC failure: no match beats every other one."""
+    return OverlappingRulesError(
+        f"query {tau}: no unique most-specific rule among: "
+        + ", ".join(str(m.entry.rho) for m in matches)
+    )
 
 
-# ---------------------------------------------------------------------------
-# Memoization (mirroring ``program_of_env``'s bounded-FIFO discipline).
-# ---------------------------------------------------------------------------
-
-_MEMO_LOCK = threading.Lock()
-_MAX_MEMO = 256
-#: Per-frame cap on memoized query scans (cleared wholesale on overflow;
-#: steady-state programs query far fewer distinct types per scope).
-_MAX_SCAN_MEMO = 1024
-#: id(frame tuple) -> CompiledFrame.  The value pins the frame, so its id
-#: cannot be recycled while the memo entry lives; frames are shared
-#: structurally by ``push``, which is what makes an environment and its
-#: extensions share per-frame artifacts.
-_FRAME_MEMO: dict[int, CompiledFrame] = {}
-#: (fingerprint, payload witness) -> CompiledEnv.  The value pins the
-#: environment (ids in the witness stay valid); hits additionally verify
-#: frame identity so results always carry the caller's own entry objects.
-_ENV_MEMO: dict[tuple, CompiledEnv] = {}
-
-
-def compiled_frame_for(frame: tuple[RuleEntry, ...]) -> CompiledFrame:
-    """The compiled form of one rule set (memoized by frame identity)."""
-    key = id(frame)
-    with _MEMO_LOCK:
-        hit = _FRAME_MEMO.get(key)
-        if hit is not None and hit.frame is frame:
-            return hit
-    compiled = CompiledFrame(frame)
-    with _MEMO_LOCK:
-        _FRAME_MEMO[key] = compiled
-        while len(_FRAME_MEMO) > _MAX_MEMO:
-            _FRAME_MEMO.pop(next(iter(_FRAME_MEMO)))
-    return compiled
-
-
-def compiled_env_for(env: ImplicitEnv) -> CompiledEnv:
-    """The compiled form of an environment, keyed on its fingerprint and
-    payload witness (the same pair the derivation cache keys on)."""
-    key = (env.fingerprint(), env.payload_witness())
-    frames = env.frames()
-    with _MEMO_LOCK:
-        hit = _ENV_MEMO.get(key)
-    if (
-        hit is not None
-        and len(hit.env.frames()) == len(frames)
-        and all(a is b for a, b in zip(hit.env.frames(), frames))
-    ):
-        return hit
-    compiled = CompiledEnv(env, tuple(compiled_frame_for(f) for f in frames))
-    with _MEMO_LOCK:
-        _ENV_MEMO[key] = compiled
-        while len(_ENV_MEMO) > _MAX_MEMO:
-            _ENV_MEMO.pop(next(iter(_ENV_MEMO)))
-    return compiled
-
-
-def clear_compiled_cache() -> None:
-    """Drop every memoized compiled artifact (tests, memory pressure)."""
-    with _MEMO_LOCK:
-        _FRAME_MEMO.clear()
-        _ENV_MEMO.clear()
+def trie_key(env: ImplicitEnv) -> bytes:
+    """Deterministic serialized identity of an environment's compiled
+    frames: equal fingerprints (alpha-equivalent frame stacks) yield
+    byte-identical keys."""
+    return repr(tuple(c.describe() for c in env.compiled_frames())).encode()

@@ -20,24 +20,22 @@ a System F evidence term during elaboration, a runtime closure in the
 operational semantics.  This mirrors how the paper reuses one lookup
 relation across Fig. 1, Fig. 2 and the big-step semantics.
 
-Lookup is **head-constructor indexed** (classic first-argument indexing
-from logic programming): every frame carries a :class:`FrameIndex`
-bucketing its entries by the rigid root constructor of their heads, plus
-a flex bucket of variable-headed rules that must always be consulted.
-Matching is only attempted against the candidates a query's own head
-symbol selects, turning one frame scan from O(entries) matching attempts
-into O(candidates).  Indexing is observably equivalent to the naive scan
-(same matches, in the same entry order, hence the same results *and* the
-same overlap failures) -- the differential tests in
-``tests/property/test_property_index.py`` pin this down -- and can be
-disabled globally with :func:`set_indexing` (CLI ``--no-index``) or per
-call via the ``use_index`` parameter.
+Lookup is *indexed*, in the logic-programming sense Theorem 1's reading
+of an environment invites: every environment owns one
+:class:`~repro.core.compile_env.CompiledFrame` per rule set -- a
+discrimination trie over the rule heads plus per-rule matchers --
+shared by reference with everything pushed on top of it and built on
+its first lookup, so a scope that is never queried costs one small
+object.  The compiled path is observably equivalent to the naive frame
+scan (same matches, in the same entry order, hence the same results
+*and* the same overlap failures); the naive scan survives as the
+reference arm of the ``compiled`` fuzz oracle
+(:mod:`repro.fuzz.reference`).
 """
 
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -46,76 +44,10 @@ from ..errors import (
     NoMatchingRuleError,
     OverlappingRulesError,
 )
-from ..obs import record_index, record_lookup
+from ..obs import record_lookup
 from .subst import fresh_tvar, subst_type
 from .types import RuleType, TVar, Type, canonical_key, head_symbol, promote
 from .unify import match_type
-
-# ---------------------------------------------------------------------------
-# Global indexing toggle (CLI --index/--no-index).
-# ---------------------------------------------------------------------------
-
-_INDEXING = True
-
-
-def indexing_enabled() -> bool:
-    """Whether head-constructor indexing is globally enabled."""
-    return _INDEXING
-
-
-def set_indexing(enabled: bool) -> bool:
-    """Set the global indexing default; returns the previous value."""
-    global _INDEXING
-    previous = _INDEXING
-    _INDEXING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def indexing(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_indexing` (used by tests and benchmarks)."""
-    previous = set_indexing(enabled)
-    try:
-        yield
-    finally:
-        set_indexing(previous)
-
-
-# ---------------------------------------------------------------------------
-# Global compiled-matcher toggle (CLI --compile/--no-compile).
-#
-# Defined here rather than in ``compile_env`` (which re-exports it) so
-# the dispatch in :meth:`ImplicitEnv.lookup` needs no import cycle; off
-# by default -- compilation pays off on repeated lookups against wide
-# frozen environments, and the interpreted path remains the reference
-# semantics the differential oracles compare against.
-# ---------------------------------------------------------------------------
-
-_COMPILING = False
-
-
-def compiling_enabled() -> bool:
-    """Whether compiled environment matchers are globally enabled."""
-    return _COMPILING
-
-
-def set_compiling(enabled: bool) -> bool:
-    """Set the global compiled-matcher default; returns the previous value."""
-    global _COMPILING
-    previous = _COMPILING
-    _COMPILING = bool(enabled)
-    return previous
-
-
-@contextmanager
-def compiling(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_compiling` (used by tests and benchmarks)."""
-    previous = set_compiling(enabled)
-    try:
-        yield
-    finally:
-        set_compiling(previous)
-
 
 class OverlapPolicy(enum.Enum):
     """How to handle several matching rules within one rule set."""
@@ -208,77 +140,21 @@ def _frame_key(frame: tuple[RuleEntry, ...]) -> tuple:
     return tuple(canonical_key(entry.rho) for entry in frame)
 
 
-def _merge_positions(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Merge two sorted position tuples, preserving entry order."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-class FrameIndex:
-    """Head-constructor index over one rule set.
-
-    ``rigid`` buckets entry positions by the rigid head symbol of each
-    entry's rule head (see :func:`repro.core.types.head_symbol`);
-    ``flex`` holds the positions of variable-headed rules, which can
-    match *any* query and are merged into every candidate list.  Like
-    frames themselves, indexes are immutable and shared structurally
-    between an environment and everything pushed on top of it.
-    """
-
-    __slots__ = ("rigid", "flex", "width")
-
-    def __init__(self, frame: tuple[RuleEntry, ...]):
-        rigid: dict[tuple, list[int]] = {}
-        flex: list[int] = []
-        for pos, entry in enumerate(frame):
-            tvars, _, head = entry.parts()
-            sym = head_symbol(head, frozenset(tvars))
-            if sym is None:
-                flex.append(pos)
-            else:
-                rigid.setdefault(sym, []).append(pos)
-        self.rigid: dict[tuple, tuple[int, ...]] = {
-            sym: tuple(positions) for sym, positions in rigid.items()
-        }
-        self.flex: tuple[int, ...] = tuple(flex)
-        self.width = len(frame)
-
-    def candidates(self, sym: tuple) -> tuple[int, ...]:
-        """Positions that could match a query with head symbol ``sym``,
-        in entry order (so indexed and naive scans agree on ordering)."""
-        return _merge_positions(self.rigid.get(sym, ()), self.flex)
-
-
 class ImplicitEnv:
     """An immutable stack of rule sets (``Delta ::= . | Delta; rho-bar``)."""
 
-    __slots__ = ("_frames", "_fingerprint", "_witness", "_indexes")
+    __slots__ = ("_frames", "_fingerprint", "_witness", "_compiled")
 
     def __init__(
         self,
         frames: tuple[tuple[RuleEntry, ...], ...] = (),
         fingerprint: EnvFingerprint | None = None,
-        indexes: tuple[FrameIndex, ...] | None = None,
+        compiled: "tuple[CompiledFrame, ...] | None" = None,
     ):
         self._frames = frames
         self._fingerprint = fingerprint
         self._witness: tuple | None = None
-        self._indexes = indexes
+        self._compiled = compiled
 
     @staticmethod
     def empty() -> "ImplicitEnv":
@@ -292,8 +168,9 @@ class ImplicitEnv:
         environment's: pushing extends the key chain, and "popping" --
         resuming use of this (immutable) environment -- re-yields the old
         fingerprint, so caches keyed on it re-hit after a scope exits.
-        The child's head-constructor index is likewise incremental: only
-        the new frame is indexed; the parent's frame indexes are shared.
+        The child's compiled frames are likewise incremental: it adds one
+        (not yet built) :class:`CompiledFrame` for the new frame and
+        shares this environment's by reference.
         """
         frame = tuple(
             e if isinstance(e, RuleEntry) else RuleEntry(e) for e in entries
@@ -301,18 +178,18 @@ class ImplicitEnv:
         return ImplicitEnv(
             self._frames + (frame,),
             self.fingerprint().extend(_frame_key(frame)),
-            self.indexes() + (FrameIndex(frame),),
+            self.compiled_frames() + (CompiledFrame(frame),),
         )
 
-    def indexes(self) -> tuple[FrameIndex, ...]:
-        """Per-frame head-constructor indexes, outermost first (computed
-        lazily for directly-constructed environments, incrementally via
-        :meth:`push`)."""
-        indexes = self._indexes
-        if indexes is None:
-            indexes = tuple(FrameIndex(frame) for frame in self._frames)
-            self._indexes = indexes
-        return indexes
+    def compiled_frames(self) -> "tuple[CompiledFrame, ...]":
+        """Per-frame compiled matchers, outermost first (created lazily
+        for directly-constructed environments, incrementally via
+        :meth:`push`; each builds its trie on its first lookup)."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = tuple(CompiledFrame(frame) for frame in self._frames)
+            self._compiled = compiled
+        return compiled
 
     def fingerprint(self) -> EnvFingerprint:
         """The structural fingerprint of this frame stack (see
@@ -368,11 +245,7 @@ class ImplicitEnv:
         return bool(self._frames)
 
     def lookup(
-        self,
-        tau: Type,
-        policy: OverlapPolicy = OverlapPolicy.REJECT,
-        use_index: bool | None = None,
-        use_compiled: bool | None = None,
+        self, tau: Type, policy: OverlapPolicy = OverlapPolicy.REJECT
     ) -> LookupResult:
         """Find the rule for ``tau`` (Fig. 1's ``Delta(tau)``).
 
@@ -381,50 +254,20 @@ class ImplicitEnv:
         :class:`AmbiguousRuleTypeError` if matching leaves a quantified
         variable of the winning rule uninstantiated (the extended report's
         "ambiguous instantiation" runtime error, caught here statically).
-
-        ``use_index`` selects head-constructor indexed candidate
-        selection (``None`` defers to the global :func:`set_indexing`
-        toggle); indexed and naive scans are observably equivalent.
-        ``use_compiled`` routes the whole lookup through the compiled
-        discrimination-trie matcher of :mod:`repro.core.compile_env`
-        (``None`` defers to :func:`set_compiling`); compiled and
-        interpreted lookups are observably equivalent too.
         """
         record_lookup()
-        if use_compiled is None:
-            use_compiled = _COMPILING
-        if use_compiled:
-            from .compile_env import compiled_env_for
-
-            return compiled_env_for(self).lookup(tau, policy)
-        if use_index is None:
-            use_index = _INDEXING
-        if use_index:
-            indexes = self.indexes()
-            sym = head_symbol(tau)
-        for pos in range(len(self._frames) - 1, -1, -1):
-            frame = self._frames[pos]
-            matches = _frame_matches(
-                frame, tau, indexes[pos] if use_index else None, sym if use_index else None
-            )
-            if not matches:
+        for compiled in reversed(self.compiled_frames()):
+            matched = compiled.matches(tau)
+            if not matched:
                 continue
-            if len(matches) > 1:
+            if len(matched) > 1:
                 if policy is OverlapPolicy.REJECT:
-                    raise OverlappingRulesError(
-                        f"query {tau} matches {len(matches)} rules in one rule set: "
-                        + ", ".join(str(m.entry.rho) for m in matches)
-                    )
-                matches = [_most_specific(matches, tau)]
-            return matches[0]
-        raise NoMatchingRuleError(f"no rule matching {tau} in the implicit environment")
+                    raise overlap_error(tau, [r for _, r in matched])
+                return compiled.most_specific(matched, tau)
+            return matched[0][1]
+        raise no_match_error(tau)
 
-    def lookup_all(
-        self,
-        tau: Type,
-        use_index: bool | None = None,
-        use_compiled: bool | None = None,
-    ) -> Iterator[LookupResult]:
+    def lookup_all(self, tau: Type) -> Iterator[LookupResult]:
         """All matches for ``tau`` in nearness order (inner frames first).
 
         Used by the ``BACKTRACKING`` resolution strategy -- the "fully
@@ -434,49 +277,21 @@ class ImplicitEnv:
         coherence, is the point of that strategy.
         """
         record_lookup()
-        if use_compiled is None:
-            use_compiled = _COMPILING
-        if use_compiled:
-            from .compile_env import compiled_env_for
-
-            yield from compiled_env_for(self).lookup_all(tau)
-            return
-        if use_index is None:
-            use_index = _INDEXING
-        if use_index:
-            indexes = self.indexes()
-            sym = head_symbol(tau)
-        for pos in range(len(self._frames) - 1, -1, -1):
-            yield from _frame_matches(
-                self._frames[pos],
-                tau,
-                indexes[pos] if use_index else None,
-                sym if use_index else None,
-            )
+        for compiled in reversed(self.compiled_frames()):
+            for _, result in compiled.matches(tau):
+                yield result
 
 
-def _frame_matches(
-    frame: tuple[RuleEntry, ...],
-    tau: Type,
-    index: FrameIndex | None = None,
-    sym: tuple | None = None,
-) -> list[LookupResult]:
-    found: list[LookupResult] = []
-    if index is not None:
-        if sym is None:
-            sym = head_symbol(tau)
-        positions = index.candidates(sym)
-        record_index(len(frame) - len(positions))
-        for pos in positions:
-            result = _try_match(frame[pos], tau)
-            if result is not None:
-                found.append(result)
-        return found
-    for entry in frame:
-        result = _try_match(entry, tau)
-        if result is not None:
-            found.append(result)
-    return found
+def overlap_error(tau: Type, matches: list[LookupResult]) -> OverlappingRulesError:
+    """The ``no_overlap`` failure for several matches in one rule set."""
+    return OverlappingRulesError(
+        f"query {tau} matches {len(matches)} rules in one rule set: "
+        + ", ".join(str(m.entry.rho) for m in matches)
+    )
+
+
+def no_match_error(tau: Type) -> NoMatchingRuleError:
+    return NoMatchingRuleError(f"no rule matching {tau} in the implicit environment")
 
 
 def _try_match(entry: RuleEntry, tau: Type) -> LookupResult | None:
@@ -555,12 +370,5 @@ def _more_specific(a: LookupResult, b: LookupResult) -> bool:
     return _rigid_symbols(a) > _rigid_symbols(b)
 
 
-def _most_specific(matches: list[LookupResult], tau: Type) -> LookupResult:
-    """Unique most-specific match, or :class:`OverlappingRulesError`."""
-    for candidate in matches:
-        if all(c is candidate or _more_specific(candidate, c) for c in matches):
-            return candidate
-    raise OverlappingRulesError(
-        f"query {tau}: no unique most-specific rule among: "
-        + ", ".join(str(m.entry.rho) for m in matches)
-    )
+# Imported last: compile_env builds on the matching helpers above.
+from .compile_env import CompiledFrame  # noqa: E402

@@ -315,19 +315,6 @@ class Resolver:
     policy: OverlapPolicy = OverlapPolicy.REJECT
     strategy: ResolutionStrategy = ResolutionStrategy.SYNTACTIC
     fuel: int = DEFAULT_FUEL
-    #: Head-constructor indexed lookup: ``True``/``False`` force it on or
-    #: off for this resolver, ``None`` defers to the global
-    #: :func:`repro.core.env.set_indexing` toggle.  Operational, not
-    #: semantic (indexed and naive lookup are observably equivalent), so
-    #: excluded from equality like the other attachments below.
-    use_index: bool | None = field(default=None, compare=False)
-    #: Compiled discrimination-trie lookup (PR 6): ``True``/``False``
-    #: force it on or off, ``None`` defers to the global
-    #: :func:`repro.core.env.set_compiling` toggle.  Operational, not
-    #: semantic -- compiled and interpreted lookup are observably
-    #: equivalent (the ``compiled`` fuzz oracle's claim) -- so excluded
-    #: from equality like ``use_index``.
-    use_compiled: bool | None = field(default=None, compare=False)
     #: Wall-clock deadline as a :func:`time.monotonic` timestamp, or
     #: ``None`` for no deadline.  Checked on every fuel-consuming
     #: resolution step, so a stuck proof search surfaces as a structured
@@ -486,7 +473,7 @@ class Resolver:
             # proof context could rescue it with a cycle), so only
             # root-level failures enter the cache.
             if cache is not None and not stack:
-                cache.put_failure(key, exc, env, fuel)
+                cache.put_failure(key, exc, env, fuel, rho)
             if tracer is not None:
                 tracer.emit(FAILURE, depth, str(rho), type(exc).__name__)
             raise
@@ -524,9 +511,7 @@ class Resolver:
             return self._resolve_backtracking(
                 env, recurse_env, rho, tvars, context, head, assumptions, fuel, depth
             )
-        result = env.lookup(
-            head, self.policy, use_index=self.use_index, use_compiled=self.use_compiled
-        )
+        result = env.lookup(head, self.policy)
         premises = self._discharge(
             recurse_env, result, assumptions, fuel, depth, stack
         )
@@ -638,9 +623,7 @@ class Resolver:
         from ..errors import ResolutionError
 
         last_error: ResolutionError | None = None
-        for result in recurse_env.lookup_all(
-            head, use_index=self.use_index, use_compiled=self.use_compiled
-        ):
+        for result in recurse_env.lookup_all(head):
             try:
                 premises = self._discharge(
                     recurse_env, result, assumptions, fuel, depth
@@ -677,8 +660,6 @@ def resolve(
     policy: OverlapPolicy = OverlapPolicy.REJECT,
     strategy: ResolutionStrategy = ResolutionStrategy.SYNTACTIC,
     fuel: int = DEFAULT_FUEL,
-    use_index: bool | None = None,
-    use_compiled: bool | None = None,
     deadline: float | None = None,
     cache: ResolutionCache | None = _UNSET,
     stats: ResolutionStats | None = None,
@@ -695,8 +676,6 @@ def resolve(
         cache is _UNSET
         and stats is None
         and tracer is None
-        and use_index is None
-        and use_compiled is None
         and deadline is None
         and (policy, strategy, fuel)
         == (_DEFAULT.policy, _DEFAULT.strategy, _DEFAULT.fuel)
@@ -708,8 +687,6 @@ def resolve(
         policy=policy,
         strategy=strategy,
         fuel=fuel,
-        use_index=use_index,
-        use_compiled=use_compiled,
         deadline=deadline,
         cache=cache,
         stats=stats,

@@ -13,12 +13,17 @@ of semantically equivalent engines and classifies the outcome:
 The engine pairs mirror every redundancy the repo has accumulated:
 
 =============  ==========================================================
-``index``      head-constructor indexed lookup vs the naive frame scan
-``compiled``   compiled discrimination-trie matchers
-               (:mod:`repro.core.compile_env`) vs interpreted indexed
-               lookup, run under *both* overlap policies so the compiled
-               path's failure behaviour (overlap rejection, specificity
-               selection, ambiguity) is compared too
+``index``      every match, not only the chosen one: production
+               ``lookup_all`` (trie-selected candidates, every frame,
+               nearness order) vs the naive frame scan's, so a trie
+               that drops, adds or reorders a shadowed or overlapping
+               match disagrees even where resolution would not notice
+``compiled``   production lookup (compiled discrimination-trie
+               matchers, :mod:`repro.core.compile_env`) vs the naive
+               frame scan (:mod:`repro.fuzz.reference`), run under
+               *both* overlap policies so the compiled path's failure
+               behaviour (overlap rejection, specificity selection,
+               ambiguity) is compared too
 ``cache``      memoized resolution (two resolves through one cache)
                vs cache-disabled resolution
 ``logic``      the deterministic Resolver vs the logic engine's
@@ -109,7 +114,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..core.cache import ResolutionCache
-from ..core.env import ImplicitEnv, OverlapPolicy, indexing
+from ..core.env import ImplicitEnv, OverlapPolicy
 from ..core.pretty import pretty_type
 from ..core.resolution import (
     ByAssumption,
@@ -258,8 +263,6 @@ def resolve_outcome(
     *,
     env=None,
     query: Type | None = None,
-    use_index: bool | None = None,
-    use_compiled: bool | None = None,
     cache: ResolutionCache | None = None,
     unmap: dict[str, str] | None = None,
     policy: OverlapPolicy = OverlapPolicy.REJECT,
@@ -269,8 +272,6 @@ def resolve_outcome(
     resolver = Resolver(
         policy=policy,
         strategy=strategy,
-        use_index=use_index,
-        use_compiled=use_compiled,
         cache=cache,
     )
     try:
@@ -336,10 +337,34 @@ class OracleContext:
 # ---------------------------------------------------------------------------
 
 
+def lookup_all_outcome(env: ImplicitEnv, query: Type) -> Outcome:
+    """Every match of ``query`` in ``env``, by entry position; normalized."""
+    position = {
+        id(entry): (i, j)
+        for i, frame in enumerate(env.frames())
+        for j, entry in enumerate(frame)
+    }
+    matches = tuple(
+        (
+            position[id(m.entry)],
+            tuple(canonical_key(t) for t in m.type_args),
+            tuple(canonical_key(t) for t in m.context),
+            canonical_key(m.head),
+        )
+        for m in env.lookup_all(query)
+    )
+    if not matches:
+        return Outcome("fail", "NoMatchingRuleError")
+    return Outcome("ok", matches)
+
+
 def oracle_index(case: FuzzCase, ctx: OracleContext) -> Verdict:
-    """Indexed vs naive rule lookup (PR 2's equivalence claim)."""
-    left = resolve_outcome(case, use_index=True)
-    right = _faulted("index", resolve_outcome(case, use_index=False))
+    """Trie-indexed vs naive retrieval of *all* matches of the query."""
+    from .reference import NaiveEnv
+
+    env = case.env()
+    left = lookup_all_outcome(env, case.query)
+    right = _faulted("index", lookup_all_outcome(NaiveEnv.of(env), case.query))
     return classify("index", left, right)
 
 
@@ -364,7 +389,7 @@ def _policy_pair(case: FuzzCase, **kwargs) -> Outcome:
 
 
 def oracle_compiled(case: FuzzCase, ctx: OracleContext) -> Verdict:
-    """Compiled trie matchers vs interpreted indexed lookup (PR 9).
+    """Compiled trie matchers vs the naive frame scan.
 
     Unlike the other oracles, the fault arm does not flip outcomes after
     the fact: it corrupts the discrimination tries themselves (every
@@ -373,13 +398,14 @@ def oracle_compiled(case: FuzzCase, ctx: OracleContext) -> Verdict:
     against.
     """
     from ..core.compile_env import corrupt_tries
+    from .reference import NaiveEnv
 
     if _FAULT == "compiled":
         with corrupt_tries():
-            left = _policy_pair(case, use_compiled=True)
+            left = _policy_pair(case)
     else:
-        left = _policy_pair(case, use_compiled=True)
-    right = _policy_pair(case, use_index=True, use_compiled=False)
+        left = _policy_pair(case)
+    right = _policy_pair(case, env=NaiveEnv.of(case.env()))
     return classify("compiled", left, right, note="both overlap policies")
 
 

@@ -9,27 +9,18 @@ The solver follows the standard lambda-Prolog discipline:
   deterministic resolution deliberately approximates), rename its
   variables to fresh logic variables, unify the head, and prove the body.
 
-Backchaining is *first-argument indexed* (the same head-constructor
-indexing :mod:`repro.core.env` applies to rule lookup): a
-:class:`ClauseIndex` buckets program clauses by the root functor/arity of
-their heads, with variable-headed clauses in an always-consulted flex
-bucket, so an atomic goal with a rigid root only attempts unification
-against clauses that could possibly match.  Implication goals extend the
-index incrementally alongside the program; the index respects clause
-order, so solution enumeration order is unchanged.  The global
-:func:`repro.core.env.set_indexing` toggle governs it.
-
-When compiled matchers are enabled (:func:`repro.core.env.set_compiling`,
-CLI ``--compile``), backchaining instead selects candidates through a
-:class:`ClauseTrie` -- a discrimination trie over whole clause-head
-skeletons (shared machinery with :mod:`repro.core.compile_env`), so goal
-subterms beyond the root prune too.  Goal positions holding unbound
+Backchaining selects candidate clauses through a :class:`ClauseTrie` --
+a discrimination trie over whole clause-head skeletons (shared machinery
+with :mod:`repro.core.compile_env`), so an atomic goal only attempts
+unification against clauses whose head skeleton could match it, goal
+subterms beyond the root pruning too.  Goal positions holding unbound
 logic variables are retrieved flexibly (they match any one pattern
 subterm), which keeps the candidate set a superset of the unifiable
-clauses; candidate order remains program order either way.  The trie for
-a program derived from an environment is memoized alongside
-``program_of_env``'s fingerprint-keyed memo, so the environment's
-compiled artifact is shared across entailment checks.
+clauses; candidate order is program order, so solution enumeration
+order is that of the plain scan.  Implication goals extend the trie
+with a root-screened side list.  The trie for a program derived from an
+environment is memoized alongside ``program_of_env``'s
+fingerprint-keyed memo, so it is shared across entailment checks.
 
 Search is depth-bounded so that the entailment check is a decision
 procedure usable inside property tests: ``True`` means provable within
@@ -42,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from ..obs import record_compiled, record_entails, record_index, record_unify
+from ..obs import record_compiled, record_entails, record_unify
 from .terms import (
     Atom,
     Clause,
@@ -102,83 +93,6 @@ def unify(t1: Term, t2: Term, subst: Subst) -> dict[str, Term] | None:
     return out
 
 
-class ClauseIndex:
-    """First-argument index over a clause program.
-
-    ``rigid`` buckets clause positions by ``(functor, arity)`` of the
-    clause head; ``flex`` holds positions of variable-headed clauses
-    (possible for context entries like ``forall a. {a} => ...``, whose
-    encoding has a bare logic variable as its head).  Flex-headed clauses
-    can match any atom -- and, once their variable is instantiated by an
-    earlier unification, may stand for an arbitrary structure -- so they
-    are merged into every candidate list.  Candidate lists preserve
-    program order, keeping solution enumeration identical to the
-    unindexed scan.
-    """
-
-    __slots__ = ("rigid", "flex", "width")
-
-    def __init__(self, program: tuple[Clause, ...]):
-        rigid: dict[tuple[str, int], list[int]] = {}
-        flex: list[int] = []
-        for pos, clause in enumerate(program):
-            head = clause.head
-            if isinstance(head, Struct):
-                rigid.setdefault((head.functor, len(head.args)), []).append(pos)
-            else:
-                flex.append(pos)
-        self.rigid = rigid
-        self.flex = flex
-        self.width = len(program)
-
-    def extended(self, clauses: tuple[Clause, ...]) -> "ClauseIndex":
-        """The index of ``program + clauses`` (incremental, non-mutating)."""
-        out = ClauseIndex.__new__(ClauseIndex)
-        out.rigid = {sym: list(positions) for sym, positions in self.rigid.items()}
-        out.flex = list(self.flex)
-        out.width = self.width
-        for clause in clauses:
-            head = clause.head
-            if isinstance(head, Struct):
-                out.rigid.setdefault((head.functor, len(head.args)), []).append(
-                    out.width
-                )
-            else:
-                out.flex.append(out.width)
-            out.width += 1
-        return out
-
-    def candidates(self, sym: tuple[str, int]) -> list[int]:
-        """Positions possibly matching a rigid goal head, in program order."""
-        rigid = self.rigid.get(sym)
-        flex = self.flex
-        if not rigid:
-            return flex
-        if not flex:
-            return rigid
-        out: list[int] = []
-        i = j = 0
-        la, lb = len(rigid), len(flex)
-        while i < la and j < lb:
-            if rigid[i] < flex[j]:
-                out.append(rigid[i])
-                i += 1
-            else:
-                out.append(flex[j])
-                j += 1
-        out.extend(rigid[i:])
-        out.extend(flex[j:])
-        return out
-
-    def candidates_for(self, term: Term, subst: Subst) -> list[int] | None:
-        """Candidate positions for an atomic goal, or ``None`` for a goal
-        whose root is an unbound variable (no pruning possible)."""
-        goal_head = walk(term, subst)
-        if isinstance(goal_head, Struct):
-            return self.candidates((goal_head.functor, len(goal_head.args)))
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Compiled clause selection: discrimination tries over head skeletons.
 # ---------------------------------------------------------------------------
@@ -218,8 +132,8 @@ def _goal_tokens(term: Term, subst: Subst) -> tuple[list, frozenset[int]]:
 
 
 class ClauseTrie:
-    """Whole-skeleton clause selection (the compiled analogue of
-    :class:`ClauseIndex`); candidate lists preserve program order."""
+    """Whole-skeleton clause selection; candidate lists preserve
+    program order."""
 
     __slots__ = ("trie", "width")
 
@@ -236,9 +150,7 @@ class ClauseTrie:
         from ..core.compile_env import token_extents
 
         tokens, flex = _goal_tokens(term, subst)
-        positions = self.trie.retrieve(tokens, token_extents(tokens), flex)
-        record_compiled()
-        return positions
+        return self.trie.retrieve(tokens, token_extents(tokens), flex)
 
     def extended(self, clauses: tuple[Clause, ...]) -> "_ExtendedClauseTrie":
         """The selection structure of ``program + clauses`` (implication
@@ -353,10 +265,10 @@ class Engine:
         goal: Goal,
         subst: Subst,
         depth: int,
-        index: ClauseIndex | None = _UNSET,  # type: ignore[assignment]
+        index: "ClauseTrie | None" = _UNSET,  # type: ignore[assignment]
     ) -> Iterator[dict[str, Term]]:
         if index is _UNSET:
-            index = self._initial_index(program)
+            index = self.clause_selection(program)
         if depth <= 0:
             return
         match goal:
@@ -383,13 +295,10 @@ class Engine:
             case _:
                 raise TypeError(f"not a Goal: {goal!r}")
 
-    @staticmethod
-    def _initial_index(program: tuple[Clause, ...]):
-        from ..core.env import compiling_enabled, indexing_enabled
-
-        if compiling_enabled():
-            return clause_trie_for(program)
-        return ClauseIndex(program) if indexing_enabled() else None
+    def clause_selection(self, program: tuple[Clause, ...]) -> "ClauseTrie | None":
+        """The candidate-selection structure backchaining threads through
+        the search (``None`` scans every clause)."""
+        return clause_trie_for(program)
 
     def _solve_all(
         self,
@@ -397,7 +306,7 @@ class Engine:
         goals: tuple[Goal, ...],
         subst: Subst,
         depth: int,
-        index: ClauseIndex | None = None,
+        index: "ClauseTrie | None" = None,
     ) -> Iterator[dict[str, Term]]:
         if not goals:
             yield dict(subst)
@@ -412,19 +321,14 @@ class Engine:
         term: Term,
         subst: Subst,
         depth: int,
-        index: ClauseIndex | None = None,
+        index: "ClauseTrie | None" = None,
     ) -> Iterator[dict[str, Term]]:
         candidates: Iterable[Clause] = program
         if index is not None:
-            # A rigid goal root can only unify with clause heads that
-            # share it, or with flex (variable-headed) clauses; with a
-            # ClauseTrie the whole goal skeleton prunes.  ``None`` means
-            # no pruning was possible (variable goal root under a
-            # ClauseIndex): fall through to the full scan.
+            # Only clauses whose head skeleton could unify with the goal.
             positions = index.candidates_for(term, subst)
-            if positions is not None:
-                record_index(len(program) - len(positions))
-                candidates = (program[pos] for pos in positions)
+            record_compiled(0, len(program) - len(positions))
+            candidates = (program[pos] for pos in positions)
         for clause in candidates:
             renaming: dict[str, Term] = {
                 v: Var(fresh_var(v)) for v in clause.vars

@@ -24,7 +24,6 @@ from .stats import (
     record_fuzz_case,
     record_fuzz_disagreement,
     record_fuzz_shrink,
-    record_index,
     record_lookup,
     record_store_bytes,
     record_store_corrupt,
@@ -52,7 +51,6 @@ __all__ = [
     "record_fuzz_case",
     "record_fuzz_disagreement",
     "record_fuzz_shrink",
-    "record_index",
     "record_lookup",
     "record_store_bytes",
     "record_store_corrupt",

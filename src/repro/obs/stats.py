@@ -41,14 +41,13 @@ Counter glossary (see also ``docs/OBSERVABILITY.md``):
                     *query*, not per scanned frame)
 ``unify_calls``     head-matching/unification attempts (one per candidate
                     rule inspected, plus one per logic-engine backchain)
-``index_hits``      frame scans answered through the head-constructor
-                    index (one per frame consulted with indexing on)
-``candidates_pruned`` rule entries the index proved irrelevant without a
-                    matching attempt (skipped candidates)
+``candidates_pruned`` rule entries (or clauses) a compiled scan's trie
+                    proved irrelevant without a matching attempt: the
+                    frame width minus the trie's candidates
 ``compiled_hits``   scans answered through a compiled discrimination-trie
-                    matcher (one per frame consulted by a compiled
-                    environment lookup, plus one per compiled logic-engine
-                    backchain; :mod:`repro.core.compile_env`)
+                    matcher (one per frame consulted by an environment
+                    lookup, plus one per logic-engine backchain;
+                    :mod:`repro.core.compile_env`)
 ``compiled_fallbacks`` candidate rules a compiled scan had to hand back
                     to the generic matcher (heads embedding rule types)
 ``entails_calls``   logic-engine entailment checks (``Delta+ |= rho+``)
@@ -125,7 +124,6 @@ class ResolutionStats:
     cache_misses: int = 0
     lookup_calls: int = 0
     unify_calls: int = 0
-    index_hits: int = 0
     candidates_pruned: int = 0
     compiled_hits: int = 0
     compiled_fallbacks: int = 0
@@ -244,21 +242,15 @@ def record_unify() -> None:
         stats.unify_calls += 1
 
 
-def record_index(pruned: int) -> None:
-    """One indexed frame scan, skipping ``pruned`` irrelevant entries."""
-    stats = getattr(_SLOT, "stats", None)
-    if stats is not None:
-        stats.index_hits += 1
-        stats.candidates_pruned += pruned
-
-
-def record_compiled(fallbacks: int = 0) -> None:
-    """One compiled-matcher scan, ``fallbacks`` of whose candidates fell
-    back to generic matching."""
+def record_compiled(fallbacks: int = 0, pruned: int = 0) -> None:
+    """One compiled-matcher scan that skipped ``pruned`` irrelevant
+    entries, ``fallbacks`` of whose candidates fell back to generic
+    matching."""
     stats = getattr(_SLOT, "stats", None)
     if stats is not None:
         stats.compiled_hits += 1
         stats.compiled_fallbacks += fallbacks
+        stats.candidates_pruned += pruned
 
 
 def record_entails(hit: bool = False) -> None:

@@ -292,8 +292,7 @@ class ResolutionService:
             session = self.registry.get(request.params.get("session"))
             rho = self._query_type(request.params)
         except Exception:
-            # Whatever the failure (a coded error, the parser's ValueError
-            # for duplicate quantified variables, a RecursionError on a
+            # Whatever the failure (a coded error, a RecursionError on a
             # deeply nested query), the worker answers it as before: an
             # exception escaping here would end the transport loop.
             return request, False

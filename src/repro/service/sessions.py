@@ -6,7 +6,7 @@ A session is the unit of amortization.  It owns
   by ``session/push_rules`` / ``session/pop`` (push parses rule-type
   strings and extends the environment; pop resurfaces the previous
   environment object, whose fingerprint -- and therefore all its cache
-  entries and frame indexes -- re-hit);
+  entries and compiled frames -- re-hit);
 * one shared :class:`~repro.core.resolution.Resolver` whose
   :class:`~repro.core.cache.ResolutionCache` stays warm across requests
   (the cache is thread-safe, so concurrent requests on one session
@@ -44,7 +44,6 @@ class SessionConfig:
     strategy: ResolutionStrategy = ResolutionStrategy.SYNTACTIC
     fuel: int = DEFAULT_FUEL
     semantics: Semantics = Semantics.ELABORATE
-    use_index: bool | None = None
     cache_entries: int = 4096
 
     @staticmethod
@@ -58,7 +57,6 @@ class SessionConfig:
             "semantics",
             "fuel",
             "cache_entries",
-            "use_index",
         }
         if unknown:
             raise ProtocolError(
@@ -82,17 +80,11 @@ class SessionConfig:
                 ErrorCode.INVALID_REQUEST,
                 "'cache_entries' must be a positive integer",
             )
-        use_index = params.get("use_index")
-        if use_index is not None and not isinstance(use_index, bool):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'use_index' must be a boolean"
-            )
         return SessionConfig(
             policy=policy,
             strategy=strategy,
             fuel=fuel,
             semantics=semantics,
-            use_index=use_index,
             cache_entries=cache_entries,
         )
 
@@ -106,7 +98,7 @@ class Session:
         self.lock = threading.Lock()
         self.env = ImplicitEnv.empty()
         #: Environments shadowed by pushes; ``pop`` restores the exact
-        #: parent *object*, so its memoized fingerprint, frame indexes
+        #: parent *object*, so its memoized fingerprint, compiled frames
         #: and payload witness come back without recomputation.
         self._parents: list[ImplicitEnv] = []
         #: The server's :class:`~repro.store.DerivationStore`, or
@@ -126,7 +118,6 @@ class Session:
             policy=config.policy,
             strategy=config.strategy,
             fuel=config.fuel,
-            use_index=config.use_index,
             cache=cache,
         )
         self.stats = ResolutionStats()

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from ..core.terms import InterfaceDecl
 from ..core.types import TCon, TFun, TVar, Type, list_of, pair, rule
+from ..errors import ParseError
 from ..span import Span
 from .ast import (
     SApp,
@@ -172,7 +173,15 @@ def _parse_scheme(stream: TokenStream) -> Type:
     if stream.at_keyword("forall"):
         stream.advance()
         while stream.current.kind == "LIDENT":
-            tvars.append(stream.advance().text)
+            token = stream.advance()
+            if token.text in tvars:
+                raise ParseError(
+                    f"duplicate quantified variable {token.text!r}",
+                    token.line,
+                    token.column,
+                    span=token.span(),
+                )
+            tvars.append(token.text)
         stream.eat_symbol(".")
     context: list[Type] = []
     if stream.at_symbol("{") and _brace_is_context(stream):

@@ -57,7 +57,6 @@ def config_doc(config) -> dict:
         "strategy": config.strategy.value,
         "fuel": config.fuel,
         "semantics": config.semantics.value,
-        "use_index": config.use_index,
         "cache_entries": config.cache_entries,
     }
 
@@ -70,7 +69,6 @@ def config_from_doc(doc: dict):
         strategy=ResolutionStrategy(doc["strategy"]),
         fuel=int(doc["fuel"]),
         semantics=Semantics(doc["semantics"]),
-        use_index=doc.get("use_index"),
         cache_entries=int(doc["cache_entries"]),
     )
 

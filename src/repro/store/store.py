@@ -467,8 +467,8 @@ class PersistentResolutionCache(ResolutionCache):
         super().put_success(key, derivation, env, fuel)
         self.store.persist(key, derivation, True, fuel)
 
-    def put_failure(self, key, error, env, fuel) -> None:
-        super().put_failure(key, error, env, fuel)  # raises on divergence
+    def put_failure(self, key, error, env, fuel, query=None) -> None:
+        super().put_failure(key, error, env, fuel, query)  # raises on divergence
         self.store.persist(key, error, False, fuel)
 
     def warm(self, env: ImplicitEnv) -> int:

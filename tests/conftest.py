@@ -27,19 +27,12 @@ from repro.core.builders import add, ask, crule, implicit, neg
 def _reset_global_state():
     """Restore every process-global toggle after each test.
 
-    Fuzz/property tests (and any test exercising the CLI) flip the
-    indexing or compile toggles, install a stats recorder in the
-    thread-local slot, inject harness faults, or corrupt the compiled
-    tries; this fixture guarantees none of that configuration leaks
-    into later tests, whatever order they run in.
+    Fuzz/property tests (and any test exercising the CLI) install a
+    stats recorder in the thread-local slot, inject harness faults, or
+    corrupt the compiled tries; this fixture guarantees none of that
+    configuration leaks into later tests, whatever order they run in.
     """
     from repro.core.compile_env import set_trie_corruption
-    from repro.core.env import (
-        compiling_enabled,
-        indexing_enabled,
-        set_compiling,
-        set_indexing,
-    )
     from repro.core.resolution import set_corec_guard
     from repro.fuzz.oracles import set_fault
     from repro.obs.stats import _SLOT
@@ -47,11 +40,7 @@ def _reset_global_state():
     from repro.store.log import set_crc_bypass
     from repro.subtyping import set_conjunct_drop
 
-    previous_indexing = indexing_enabled()
-    previous_compiling = compiling_enabled()
     yield
-    set_indexing(previous_indexing)
-    set_compiling(previous_compiling)
     set_trie_corruption(False)
     set_wire_corruption(False)
     set_fault(None)

@@ -6,6 +6,8 @@ identity through the payload witness, fuel monotonicity, and the hard
 rule that divergence is never cached.
 """
 
+import gc
+
 import pytest
 
 from repro.core.cache import ResolutionCache, derivation_key
@@ -84,15 +86,41 @@ class TestCacheKey:
         }
         assert len(keys) == len(ResolutionStrategy) * len(OverlapPolicy)
 
-    def test_entry_pins_its_environment(self, pair_env):
+    def test_entry_pins_its_environment(self):
+        env = ImplicitEnv.empty().push([RuleEntry(INT, payload="evidence")])
         cache = ResolutionCache()
         resolver = Resolver(cache=cache)
-        resolver.resolve(pair_env, INT)
-        key = cache.key_for(pair_env, INT, SYN, REJECT)
+        resolver.resolve(env, INT)
+        key = cache.key_for(env, INT, SYN, REJECT)
         entry = cache.get(key, resolver.fuel)
         # The strong reference keeps payload ids in the key from being
         # recycled while the entry lives.
-        assert entry.env is pair_env
+        assert entry.env is env
+
+    def test_payload_less_entries_do_not_pin_their_environment(self, pair_env):
+        # An all-None witness has no ids to protect: the entry must not
+        # keep a popped scope (and its compiled frames) alive.
+        cache = ResolutionCache()
+        resolver = Resolver(cache=cache)
+        scope = pair_env.push([CHAR])
+        resolver.resolve(scope, INT)
+        with pytest.raises(NoMatchingRuleError):
+            resolver.resolve(scope, BOOL)
+        for query in (INT, BOOL):
+            entry = cache.get(cache.key_for(scope, query, SYN, REJECT), resolver.fuel)
+            assert entry.env is None
+        entries = list(cache._entries.values())
+        assert not any(e in gc.get_referrers(scope) for e in entries)
+
+    def test_failure_entry_keeps_its_query_type(self, pair_env):
+        cache = ResolutionCache()
+        resolver = Resolver(cache=cache)
+        query = rule(BOOL, [CHAR])
+        with pytest.raises(NoMatchingRuleError):
+            resolver.resolve(pair_env, query)
+        entry = cache.get(cache.key_for(pair_env, query, SYN, REJECT), resolver.fuel)
+        assert not entry.is_success
+        assert entry.query is query
 
 
 class TestFuelMonotonicity:

@@ -1,11 +1,12 @@
-"""Unit tests for the compiled environment matchers (PR 9).
+"""Unit tests for the compiled environment matchers.
 
-The differential guarantees (compiled == interpreted on random
-environments, under both overlap policies) live in
+The differential guarantees (compiled == the naive reference scan on
+random environments, under both overlap policies) live in
 ``tests/property/test_property_compile.py`` and the ``compiled`` fuzz
 oracle; this module pins the compilation machinery itself -- token
 streams, extents, trie retrieval, the three matcher kinds, the
-corruption hook, the counters and the memo discipline.
+corruption hook, the counters and the ownership of compiled frames
+(shared on ``push``, built on first lookup).
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from repro.core.compile_env import (
     STAR,
     CompiledFrame,
     DiscriminationTrie,
-    clear_compiled_cache,
-    compiled_env_for,
-    compiled_frame_for,
     corrupt_tries,
     token_extents,
     type_pattern_tokens,
@@ -31,6 +29,7 @@ from repro.errors import (
     NoMatchingRuleError,
     OverlappingRulesError,
 )
+from repro.fuzz.reference import NaiveEnv
 from repro.obs import ResolutionStats, collecting
 
 
@@ -143,13 +142,13 @@ def test_ground_rule_matches_by_identity():
 
 def test_ground_rule_with_undetermined_variable_is_ambiguous():
     # forall a. {a} => Int: matching Int leaves `a` undetermined -- the
-    # compiled path must raise exactly what the interpreted path raises.
+    # compiled path must raise exactly what the naive scan raises.
     rho = rule(INT, [a], ["a"])
     env = ImplicitEnv.empty().push([rho])
     with pytest.raises(AmbiguousRuleTypeError) as interpreted:
-        env.lookup(INT, use_compiled=False)
+        NaiveEnv.of(env).lookup(INT)
     with pytest.raises(AmbiguousRuleTypeError) as compiled:
-        compiled_env_for(env).lookup(INT)
+        env.lookup(INT)
     assert str(compiled.value) == str(interpreted.value)
 
 
@@ -193,13 +192,13 @@ def test_compiled_lookup_matches_interpreted_choices():
         .push([INT, rule(pair(a, a), [a], ["a"])])
         .push([rule(pair(INT, INT), [], [])])
     )
-    compiled = compiled_env_for(env)
+    naive = NaiveEnv.of(env)
     tau = pair(INT, INT)
-    assert compiled.lookup(tau).entry is env.lookup(tau, use_compiled=False).entry
+    assert env.lookup(tau).entry is naive.lookup(tau).entry
     with pytest.raises(NoMatchingRuleError) as exc:
-        compiled.lookup(CHAR)
+        env.lookup(CHAR)
     with pytest.raises(NoMatchingRuleError) as interpreted:
-        env.lookup(CHAR, use_compiled=False)
+        naive.lookup(CHAR)
     assert str(exc.value) == str(interpreted.value)
 
 
@@ -207,30 +206,29 @@ def test_overlap_policies_agree_with_interpreted():
     env = ImplicitEnv.empty().push(
         [rule(pair(a, b), [], ["a", "b"]), rule(pair(INT, INT), [], [])]
     )
-    compiled = compiled_env_for(env)
+    naive = NaiveEnv.of(env)
     tau = pair(INT, INT)
     with pytest.raises(OverlappingRulesError) as left:
-        compiled.lookup(tau, OverlapPolicy.REJECT)
+        env.lookup(tau, OverlapPolicy.REJECT)
     with pytest.raises(OverlappingRulesError) as right:
-        env.lookup(tau, OverlapPolicy.REJECT, use_compiled=False)
+        naive.lookup(tau, OverlapPolicy.REJECT)
     assert str(left.value) == str(right.value)
-    winner = compiled.lookup(tau, OverlapPolicy.MOST_SPECIFIC)
-    expected = env.lookup(tau, OverlapPolicy.MOST_SPECIFIC, use_compiled=False)
+    winner = env.lookup(tau, OverlapPolicy.MOST_SPECIFIC)
+    expected = naive.lookup(tau, OverlapPolicy.MOST_SPECIFIC)
     assert winner.entry is expected.entry
     # The decision is memoized; a second query takes the memo path.
-    again = compiled.lookup(tau, OverlapPolicy.MOST_SPECIFIC)
+    again = env.lookup(tau, OverlapPolicy.MOST_SPECIFIC)
     assert again.entry is expected.entry
 
 
 def test_corruption_drops_candidates():
     env = ImplicitEnv.empty().push([INT])
-    compiled = compiled_env_for(env)
-    assert compiled.lookup(INT).entry is env.frames()[0][0]
+    assert env.lookup(INT).entry is env.frames()[0][0]
     with corrupt_tries():
         with pytest.raises(NoMatchingRuleError):
-            compiled.lookup(INT)
+            env.lookup(INT)
     # And back to normal once the scope closes.
-    assert compiled.lookup(INT).entry is env.frames()[0][0]
+    assert env.lookup(INT).entry is env.frames()[0][0]
 
 
 def test_compiled_counters_and_fallbacks():
@@ -238,39 +236,49 @@ def test_compiled_counters_and_fallbacks():
     env = ImplicitEnv.empty().push([INT, rule(pair(inner, a), [a], ["a"])])
     stats = ResolutionStats()
     with collecting(stats):
-        env.lookup(INT, use_compiled=True)
-        env.lookup(pair(inner, INT), use_compiled=True)
+        env.lookup(INT)
+        env.lookup(pair(inner, INT))
     assert stats.compiled_hits >= 2
     assert stats.compiled_fallbacks >= 1  # the generic rule was consulted
+    assert stats.candidates_pruned >= 1  # Int never reaches the Pair rule
 
 
 # ---------------------------------------------------------------------------
-# Memoization discipline.
+# Ownership: compiled frames live in the environment.
 # ---------------------------------------------------------------------------
 
 
 def test_env_memo_returns_same_artifact_and_shares_frames():
     base = ImplicitEnv.empty().push([INT, BOOL])
     extended = base.push([CHAR])
-    assert compiled_env_for(base) is compiled_env_for(base)
-    # `push` shares the underlying frame tuple, so the compiled frame is
-    # shared too -- compiling the extension does not recompile the base.
-    assert compiled_env_for(extended).frames[0] is compiled_env_for(base).frames[0]
+    assert base.compiled_frames() is base.compiled_frames()
+    # `push` shares the parent's compiled frames by reference, so
+    # compiling the extension does not recompile the base.
+    assert extended.compiled_frames()[0] is base.compiled_frames()[0]
+    extended.lookup(INT)
+    assert base.compiled_frames()[0]._code is not None
 
 
 def test_frame_memo_is_identity_keyed():
-    frame = _frame(INT, BOOL)
-    assert compiled_frame_for(frame) is compiled_frame_for(frame)
-    # An equal-but-distinct tuple gets its own artifact (identity, not
-    # equality, is the key -- entry objects must round-trip).
-    other = _frame(INT, BOOL)
-    assert compiled_frame_for(other) is not compiled_frame_for(frame)
+    one = ImplicitEnv.empty().push(_frame(INT, BOOL))
+    other = ImplicitEnv.empty().push(_frame(INT, BOOL))
+    # Equal-but-distinct frames get their own artifacts: results carry
+    # each environment's own entry objects.
+    assert one.compiled_frames()[0] is not other.compiled_frames()[0]
+    assert one.lookup(INT).entry is one.frames()[0][0]
+    assert other.lookup(INT).entry is other.frames()[0][0]
+    assert one.frames()[0][0] is not other.frames()[0][0]
 
 
-def test_clear_compiled_cache_forgets_artifacts():
-    env = ImplicitEnv.empty().push([INT])
-    before = compiled_env_for(env)
-    clear_compiled_cache()
-    after = compiled_env_for(env)
-    assert after is not before
-    assert after.lookup(INT).entry is env.frames()[0][0]
+def test_frames_compile_on_first_lookup_only():
+    outer = ImplicitEnv.empty().push([INT])
+    env = outer.push([BOOL])
+    assert all(c._code is None for c in env.compiled_frames())
+    # The inner frame answers; the outer frame is never consulted.
+    env.lookup(BOOL)
+    inner_code = env.compiled_frames()[1]._code
+    assert inner_code is not None
+    assert env.compiled_frames()[0]._code is None
+    env.lookup(INT)
+    assert env.compiled_frames()[0]._code is not None
+    assert env.compiled_frames()[1]._code is inner_code

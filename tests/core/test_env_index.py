@@ -1,24 +1,17 @@
-"""Head-constructor indexed environment lookup (first-argument indexing).
+"""Indexed environment lookup (the compiled discrimination tries).
 
-The index must be *observably equivalent* to the naive frame scan: same
-matches in the same entry order, hence the same results, the same
-overlap failures, and the same error messages.  These are the unit-level
-checks; the randomized differential tests live in
-``tests/property/test_property_index.py``.
+Production lookup selects candidates through each frame's trie; it must
+be *observably equivalent* to the naive frame scan
+(:class:`repro.fuzz.reference.NaiveEnv`): same matches in the same
+entry order, hence the same results, the same overlap failures, and the
+same error messages.  These are the unit-level checks; the randomized
+differential tests live in ``tests/property/test_property_index.py``.
 """
 
 import pytest
 
-from repro.core.env import (
-    FrameIndex,
-    ImplicitEnv,
-    OverlapPolicy,
-    RuleEntry,
-    _merge_positions,
-    indexing,
-    indexing_enabled,
-    set_indexing,
-)
+from repro.core.compile_env import CompiledFrame, token_extents, type_query_tokens
+from repro.core.env import ImplicitEnv, OverlapPolicy, RuleEntry
 from repro.core.types import (
     BOOL,
     INT,
@@ -30,6 +23,7 @@ from repro.core.types import (
     rule,
 )
 from repro.errors import NoMatchingRuleError, OverlappingRulesError
+from repro.fuzz.reference import NaiveEnv
 from repro.obs import ResolutionStats, collecting
 
 
@@ -58,11 +52,24 @@ class TestHeadSymbol:
         assert head_symbol(r1) != head_symbol(r3)
 
 
+def _candidates(compiled: CompiledFrame, tau) -> list[int]:
+    tokens = type_query_tokens(tau)
+    return compiled.trie.retrieve(tokens, token_extents(tokens))
+
+
 class TestMergePositions:
     def test_merges_sorted_and_preserves_order(self):
-        assert _merge_positions((0, 3), (1, 2, 5)) == (0, 1, 2, 3, 5)
-        assert _merge_positions((), (1, 2)) == (1, 2)
-        assert _merge_positions((1, 2), ()) == (1, 2)
+        # Rigid candidates and flex-headed rules come back as one list
+        # in entry order, whichever of the two groups is empty.
+        a = TVar("a")
+        flex = rule(a, [INT], ["a"])
+        mixed = CompiledFrame(
+            tuple(RuleEntry(r) for r in (flex, INT, INT, flex, BOOL, INT))
+        )
+        assert _candidates(mixed, INT) == [0, 1, 2, 3, 5]
+        assert _candidates(CompiledFrame((RuleEntry(flex),) * 2), INT) == [0, 1]
+        rigid = CompiledFrame((RuleEntry(BOOL), RuleEntry(INT), RuleEntry(INT)))
+        assert _candidates(rigid, INT) == [1, 2]
 
 
 class TestFrameIndex:
@@ -74,20 +81,20 @@ class TestFrameIndex:
             RuleEntry(rule(pair(a, a), [a], ["a"])),  # 2: rigid Pair/2
             RuleEntry(BOOL),                       # 3: rigid Bool
         )
-        index = FrameIndex(frame)
-        assert index.flex == (1,)
-        assert index.rigid[head_symbol(INT)] == (0,)
-        assert index.rigid[head_symbol(pair(INT, INT))] == (2,)
-        # Candidates merge the matching bucket with flex, in entry order.
-        assert index.candidates(head_symbol(INT)) == (0, 1)
-        assert index.candidates(head_symbol(pair(INT, BOOL))) == (1, 2)
-        # Unknown symbols still consult the flex bucket.
-        assert index.candidates(head_symbol(STRING)) == (1,)
+        compiled = CompiledFrame(frame)
+        # Candidates are the rules whose head skeleton fits, plus the
+        # flex rule, in entry order.
+        assert _candidates(compiled, INT) == [0, 1]
+        assert _candidates(compiled, pair(INT, BOOL)) == [1, 2]
+        # Unknown symbols still reach the flex rule.
+        assert _candidates(compiled, STRING) == [1]
 
     def test_indexes_are_shared_structurally_on_push(self):
         env = ImplicitEnv.empty().push([INT]).push([BOOL])
         child = env.push([STRING])
-        assert child.indexes()[:2] == env.indexes()
+        shared = child.compiled_frames()[:2]
+        assert all(x is y for x, y in zip(shared, env.compiled_frames()))
+        assert len(child.compiled_frames()) == 3
 
 
 @pytest.fixture
@@ -110,17 +117,17 @@ class TestIndexedLookupEquivalence:
     )
     def test_same_result_with_and_without_index(self, wideish_env, query):
         policy = OverlapPolicy.MOST_SPECIFIC
-        indexed = wideish_env.lookup(query, policy, use_index=True)
-        naive = wideish_env.lookup(query, policy, use_index=False)
+        indexed = wideish_env.lookup(query, policy)
+        naive = NaiveEnv.of(wideish_env).lookup(query, policy)
         assert indexed.entry is naive.entry
         assert indexed == naive
 
     def test_same_failure_message_on_no_match(self):
         env = ImplicitEnv.empty().push([INT])
         with pytest.raises(NoMatchingRuleError) as e_indexed:
-            env.lookup(BOOL, use_index=True)
+            env.lookup(BOOL)
         with pytest.raises(NoMatchingRuleError) as e_naive:
-            env.lookup(BOOL, use_index=False)
+            NaiveEnv.of(env).lookup(BOOL)
         assert str(e_indexed.value) == str(e_naive.value)
 
     def test_same_overlap_error_in_entry_order(self):
@@ -129,21 +136,21 @@ class TestIndexedLookupEquivalence:
             [rule(pair(a, a), [a], ["a"]), pair(INT, INT)]
         )
         with pytest.raises(OverlappingRulesError) as e_indexed:
-            env.lookup(pair(INT, INT), use_index=True)
+            env.lookup(pair(INT, INT))
         with pytest.raises(OverlappingRulesError) as e_naive:
-            env.lookup(pair(INT, INT), use_index=False)
+            NaiveEnv.of(env).lookup(pair(INT, INT))
         assert str(e_indexed.value) == str(e_naive.value)
 
     def test_flex_headed_rules_are_never_pruned(self):
         a = TVar("a")
         env = ImplicitEnv.empty().push([rule(a, [INT], ["a"]), INT])
         # STRING only matches the variable-headed rule.
-        result = env.lookup(STRING, use_index=True)
+        result = env.lookup(STRING)
         assert result.entry.rho == rule(a, [INT], ["a"])
 
     def test_lookup_all_agrees(self, wideish_env):
-        indexed = list(wideish_env.lookup_all(pair(INT, INT), use_index=True))
-        naive = list(wideish_env.lookup_all(pair(INT, INT), use_index=False))
+        indexed = list(wideish_env.lookup_all(pair(INT, INT)))
+        naive = list(NaiveEnv.of(wideish_env).lookup_all(pair(INT, INT)))
         assert indexed == naive
         assert [m.entry for m in indexed] == [m.entry for m in naive]
 
@@ -152,41 +159,20 @@ class TestCountersAndToggle:
     def test_index_counters_record_pruned_candidates(self, wideish_env):
         stats = ResolutionStats()
         with collecting(stats):
-            wideish_env.lookup(INT, OverlapPolicy.MOST_SPECIFIC, use_index=True)
+            wideish_env.lookup(INT, OverlapPolicy.MOST_SPECIFIC)
         # One frame consulted; candidates are Int plus the flex rule, the
-        # other three entries are pruned without a matching attempt.  Two
-        # scan attempts plus one instance check inside _most_specific
-        # (its converse direction is pruned by the head-symbol check).
-        assert stats.index_hits == 1
+        # other three entries are pruned without a matching attempt.  The
+        # compiled matchers bind without unification, leaving one
+        # instance check inside the most-specific decision (its converse
+        # direction is pruned by the head-symbol check).
+        assert stats.compiled_hits == 1
         assert stats.candidates_pruned == 3
-        assert stats.unify_calls == 3
+        assert stats.unify_calls == 1
 
     def test_naive_scan_records_no_index_counters(self, wideish_env):
         stats = ResolutionStats()
         with collecting(stats):
-            wideish_env.lookup(INT, OverlapPolicy.MOST_SPECIFIC, use_index=False)
-        assert stats.index_hits == 0
+            NaiveEnv.of(wideish_env).lookup(INT, OverlapPolicy.MOST_SPECIFIC)
+        assert stats.compiled_hits == 0
         assert stats.candidates_pruned == 0
         assert stats.unify_calls == 6  # five scan attempts + one instance check
-
-    def test_global_toggle_and_context_manager(self, wideish_env):
-        assert indexing_enabled()
-        policy = OverlapPolicy.MOST_SPECIFIC
-        stats = ResolutionStats()
-        with indexing(False):
-            assert not indexing_enabled()
-            with collecting(stats):
-                wideish_env.lookup(INT, policy)  # use_index=None: global toggle
-            assert stats.index_hits == 0
-        assert indexing_enabled()
-        with collecting(stats):
-            wideish_env.lookup(INT, policy)
-        assert stats.index_hits == 1
-
-    def test_set_indexing_returns_previous_value(self):
-        previous = set_indexing(False)
-        try:
-            assert previous is True
-            assert set_indexing(True) is False
-        finally:
-            set_indexing(True)

@@ -5,7 +5,7 @@ structures it leans on -- the hash-consing intern table, the resolution
 derivation cache, the entailment memos -- must tolerate concurrent use.
 These tests hammer them from a :class:`ThreadPoolExecutor` and assert
 two things: no exceptions escape, and the answers are the same ones a
-single thread would compute (indexed and naive lookup included).
+single thread would compute (the naive reference scan included).
 
 They are regression tests for real hazards: ``WeakValueDictionary
 .setdefault`` is check-then-act in pure Python, so unlocked interning
@@ -14,14 +14,16 @@ size-bounded insert is a check-len-pop-insert sequence that can corrupt
 its FIFO under races.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.cache import ResolutionCache
-from repro.core.env import ImplicitEnv, RuleEntry, set_indexing
+from repro.core.env import ImplicitEnv, RuleEntry
 from repro.core.parser import parse_core_type
 from repro.core.resolution import Resolver
 from repro.core.types import INT, TCon, TFun, pair
+from repro.fuzz.reference import NaiveEnv
 
 THREADS = 8
 ROUNDS = 60
@@ -93,20 +95,18 @@ class TestCacheConcurrency:
         env = ImplicitEnv.empty().push(entries)
         shared = Resolver(cache=ResolutionCache())
 
-        # Ground truth: naive (unindexed) single-threaded resolution.
-        previous = set_indexing(False)
-        try:
-            naive_env = ImplicitEnv.empty().push(entries)
-            naive = {
-                f"C{i}": str(
-                    Resolver(cache=None)
-                    .resolve(naive_env, parse_core_type(f"C{i}"))
-                    .lookup.entry.rho
-                )
-                for i in range(12)
-            }
-        finally:
-            set_indexing(previous)
+        # Ground truth: the naive reference scan, single-threaded.  The
+        # shared environment's compiled frames are first built by
+        # whichever worker thread looks up first.
+        naive_env = NaiveEnv.of(ImplicitEnv.empty().push(entries))
+        naive = {
+            f"C{i}": str(
+                Resolver(cache=None)
+                .resolve(naive_env, parse_core_type(f"C{i}"))
+                .lookup.entry.rho
+            )
+            for i in range(12)
+        }
 
         def query(index):
             out = {}
@@ -118,4 +118,27 @@ class TestCacheConcurrency:
 
         for result in _hammer(query):
             for name, matched in result.items():
-                assert matched == naive[name]  # indexed == naive, under threads
+                assert matched == naive[name]  # compiled == naive, under threads
+
+
+class TestLazyCompiledFrames:
+    def test_racing_first_lookups_see_whole_artifacts(self):
+        # Every thread's first lookup may build the shared frame's trie;
+        # a reader that saw a half-built artifact would miss an entry or
+        # return another frame's.  A tiny switch interval forces thread
+        # switches in the middle of the build.
+        entries = [RuleEntry(TCon(f"K{i}")) for i in range(200)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                env = ImplicitEnv.empty().push(entries)
+
+                def first(index):
+                    picks = [(index * 7 + i) % len(entries) for i in range(40)]
+                    found = [env.lookup(TCon(f"K{p}")).entry for p in picks]
+                    return all(f is entries[p] for f, p in zip(found, picks))
+
+                assert all(_hammer(first))
+        finally:
+            sys.setswitchinterval(previous)

@@ -1,60 +1,55 @@
-"""Regression: global toggles flipped inside one test cannot leak out.
+"""Regression: global test hooks flipped inside one test cannot leak out.
 
-The engine keeps several pieces of process-global configuration: the
-indexing toggle, the compiled-matcher toggle, the fuzz harness's fault
-injection, the compile module's trie corruption, and the subtyping
-backend's conjunct-drop fault (plus the thread-local stats slot).  The
-autouse ``_reset_global_state`` fixture
-in ``tests/conftest.py`` must restore all of them after every test --
-otherwise a fuzz or property test could silently change the semantics
-(or the counters) of whatever test happens to run next.
+The engine keeps several pieces of process-global configuration, all of
+them test or fault-injection hooks: the fuzz harness's fault injection,
+the compile module's trie corruption, and the subtyping backend's
+conjunct-drop fault (plus the thread-local stats slot).  The autouse
+``_reset_global_state`` fixture in ``tests/conftest.py`` must restore
+all of them after every test -- otherwise a fuzz or property test could
+silently change the semantics (or the counters) of whatever test
+happens to run next.
 
 pytest runs tests within a module in definition order, so each
-``*_flips_everything`` test below deliberately leaves every toggle in
-its non-default state, and the immediately following ``*_sees_defaults``
+``*_flips_everything`` test below deliberately leaves every hook in its
+non-default state, and the immediately following ``*_sees_defaults``
 test asserts the fixture cleaned up.  The pairs are duplicated so the
 check also holds when a flipped state is the *starting* point of the
-next flip.
+next flip.  Each ``*_sees_defaults`` test also checks that production
+lookup and the naive reference scan agree again once the hooks are
+reset.
 """
 
 from __future__ import annotations
 
 from repro.core import compile_env
-from repro.core.env import (
-    compiling_enabled,
-    indexing_enabled,
-    set_compiling,
-    set_indexing,
-)
+from repro.core.env import ImplicitEnv
+from repro.core.types import INT
 from repro.fuzz import oracles
 from repro.fuzz.oracles import set_fault
+from repro.fuzz.reference import NaiveEnv
 from repro.obs.stats import _SLOT, ResolutionStats
 from repro.subtyping import intersection, set_conjunct_drop
 
 
 def _flip_everything() -> None:
-    set_indexing(False)
-    set_compiling(True)
-    set_fault("index")
+    set_fault("compiled")
     compile_env.set_trie_corruption(True)
     set_conjunct_drop(True)
     _SLOT.stats = ResolutionStats()
 
 
 def _assert_defaults() -> None:
-    assert indexing_enabled() is True
-    assert compiling_enabled() is False
     assert oracles._FAULT is None
     assert compile_env._CORRUPT is False
     assert intersection._DROP is False
     assert getattr(_SLOT, "stats", None) is None
+    env = ImplicitEnv.empty().push([INT])
+    assert env.lookup(INT).entry is NaiveEnv.of(env).lookup(INT).entry
 
 
 def test_a_flips_everything():
     _flip_everything()
-    assert indexing_enabled() is False
-    assert compiling_enabled() is True
-    assert oracles._FAULT == "index"
+    assert oracles._FAULT == "compiled"
     assert compile_env._CORRUPT is True
     assert intersection._DROP is True
     assert _SLOT.stats is not None

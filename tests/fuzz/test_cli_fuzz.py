@@ -17,17 +17,17 @@ class TestFuzzCommand:
 
     def test_oracle_selection(self, capsys):
         code = main(
-            ["fuzz", "--cases", "10", "--oracle", "index", "--oracle", "cache"]
+            ["fuzz", "--cases", "10", "--oracle", "compiled", "--oracle", "cache"]
         )
         assert code == 0
-        assert "oracles=index,cache" in capsys.readouterr().out
+        assert "oracles=compiled,cache" in capsys.readouterr().out
 
     def test_unknown_oracle_exits_two(self, capsys):
         assert main(["fuzz", "--cases", "1", "--oracle", "nonesuch"]) == 2
         assert "unknown oracle" in capsys.readouterr().err
 
     def test_stats_flag_prints_fuzz_counters(self, capsys):
-        assert main(["fuzz", "--cases", "5", "--oracle", "index", "--stats"]) == 0
+        assert main(["fuzz", "--cases", "5", "--oracle", "compiled", "--stats"]) == 0
         err = capsys.readouterr().err
         assert "-- resolution stats --" in err
         assert "fuzz_cases" in err
@@ -48,16 +48,16 @@ class TestFaultInjectionEndToEnd:
                 "--cases",
                 "20",
                 "--oracle",
-                "index",
+                "cache",
                 "--inject-fault",
-                "index",
+                "cache",
                 "--artifact-dir",
                 str(artifact_dir),
             ]
         )
         assert code == 1  # disagreements found
         out = capsys.readouterr().out
-        assert "DISAGREE oracle=index" in out
+        assert "DISAGREE oracle=cache" in out
         artifacts = sorted(artifact_dir.glob("fuzz-seed0-*.json"))
         assert artifacts
         payload = json.loads(artifacts[0].read_text())
@@ -83,9 +83,9 @@ class TestFaultInjectionEndToEnd:
                 "--cases",
                 "20",
                 "--oracle",
-                "index",
+                "cache",
                 "--inject-fault",
-                "index",
+                "cache",
                 "--no-shrink",
             ]
         )

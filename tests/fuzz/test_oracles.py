@@ -70,7 +70,7 @@ class TestClassification:
 class TestOracleMatrix:
     def test_matrix_has_at_least_five_engine_pairs(self):
         assert set(oracle_names()) >= {
-            "index",
+            "compiled",
             "cache",
             "logic",
             "semantics",
@@ -92,7 +92,7 @@ class TestOracleMatrix:
         case = _case(
             (((IntLit(1), INT), (IntLit(2), INT)),), INT, overlapping=True
         )
-        for name in ("index", "cache", "semantics", "service"):
+        for name in ("compiled", "cache", "semantics", "service"):
             verdict = ORACLES[name](case, ctx)
             assert verdict.classification == "both_fail", (
                 name,
@@ -124,15 +124,15 @@ class TestFaultInjection:
     def test_fault_does_not_touch_failing_cases(self, unresolvable, ctx):
         # The fault corrupts successes; a case both engines reject is
         # reported identically with or without it.
-        with inject_fault("index"):
-            assert ORACLES["index"](unresolvable, ctx).classification == (
+        with inject_fault("cache"):
+            assert ORACLES["cache"](unresolvable, ctx).classification == (
                 "both_fail"
             )
 
     def test_fault_scope_is_lexical(self, resolvable, ctx):
-        with inject_fault("index"):
-            assert ORACLES["index"](resolvable, ctx).disagrees
-        assert ORACLES["index"](resolvable, ctx).classification == "agree"
+        with inject_fault("cache"):
+            assert ORACLES["cache"](resolvable, ctx).disagrees
+        assert ORACLES["cache"](resolvable, ctx).classification == "agree"
 
 
 class TestGeneratedCorpusProperties:
@@ -158,7 +158,7 @@ class TestGeneratedCorpusProperties:
 
     def test_generated_case_example_still_resolves(self, ctx):
         case = generate_case(0, 0)
-        assert ORACLES["index"](case, ctx).classification == "agree"
+        assert ORACLES["compiled"](case, ctx).classification == "agree"
 
 
 class TestCorecursiveOracle:

@@ -31,7 +31,7 @@ def _first_disagreement(oracle, seed=0, cases=30):
 
 
 class TestShrinking:
-    @pytest.mark.parametrize("oracle", ["index", "semantics", "service"])
+    @pytest.mark.parametrize("oracle", ["index", "cache", "semantics", "service"])
     def test_faulted_disagreement_shrinks_to_at_most_3_rules(self, oracle):
         case = _first_disagreement(oracle)
         with inject_fault(oracle), OracleContext() as ctx:
@@ -44,19 +44,19 @@ class TestShrinking:
             assert steps > 0
 
     def test_shrinking_is_deterministic(self):
-        case = _first_disagreement("index")
+        case = _first_disagreement("cache")
         results = []
         for _ in range(2):
-            with inject_fault("index"), OracleContext() as ctx:
-                shrunk, steps = shrink_case(case, ORACLES["index"], ctx)
+            with inject_fault("cache"), OracleContext() as ctx:
+                shrunk, steps = shrink_case(case, ORACLES["cache"], ctx)
                 results.append((shrunk.as_json(), steps))
         assert results[0] == results[1]
 
     def test_shrunk_case_is_a_fixpoint(self):
-        case = _first_disagreement("index")
-        with inject_fault("index"), OracleContext() as ctx:
-            once, _ = shrink_case(case, ORACLES["index"], ctx)
-            twice, steps = shrink_case(once, ORACLES["index"], ctx)
+        case = _first_disagreement("cache")
+        with inject_fault("cache"), OracleContext() as ctx:
+            once, _ = shrink_case(case, ORACLES["cache"], ctx)
+            twice, steps = shrink_case(once, ORACLES["cache"], ctx)
             assert twice.as_json() == once.as_json()
             assert steps == 0
 
@@ -64,7 +64,7 @@ class TestShrinking:
         # Without a fault nothing disagrees, so every candidate is
         # rejected and the case comes back unchanged.
         case = generate_case(0, 0)
-        shrunk, steps = shrink_case(case, ORACLES["index"], ctx)
+        shrunk, steps = shrink_case(case, ORACLES["cache"], ctx)
         assert shrunk.as_json() == case.as_json()
         assert steps == 0
 
@@ -73,11 +73,11 @@ class TestArtifacts:
     def test_fault_run_writes_replayable_artifact(self, tmp_path):
         from repro.fuzz import load_artifact, replay_artifact
 
-        with inject_fault("index"):
+        with inject_fault("cache"):
             report = run_fuzz(
                 0,
                 20,
-                oracles=["index"],
+                oracles=["cache"],
                 artifact_dir=str(tmp_path),
             )
         assert report.disagreements
@@ -85,8 +85,8 @@ class TestArtifacts:
         assert first.shrunk.rule_count() <= 3
         assert first.artifact_path is not None
         payload = load_artifact(first.artifact_path)
-        assert payload["fault"] == "index"
-        assert payload["oracle"] == "index"
+        assert payload["fault"] == "cache"
+        assert payload["oracle"] == "cache"
         assert payload["verdict"]["classification"] == "disagree"
         # Replay restores the fault from the artifact itself.
         result = replay_artifact(payload)
@@ -96,8 +96,8 @@ class TestArtifacts:
         assert again.verdict == result.verdict
 
     def test_no_shrink_mode_keeps_the_original(self):
-        with inject_fault("index"):
-            report = run_fuzz(0, 20, oracles=["index"], shrink=False)
+        with inject_fault("cache"):
+            report = run_fuzz(0, 20, oracles=["cache"], shrink=False)
         assert report.disagreements
         d = report.disagreements[0]
         assert d.shrunk.as_json() == d.case.as_json()
@@ -126,8 +126,8 @@ class TestRunner:
         from repro.obs import ResolutionStats, collecting
 
         stats = ResolutionStats()
-        with collecting(stats), inject_fault("index"):
-            run_fuzz(0, 20, oracles=["index"])
+        with collecting(stats), inject_fault("cache"):
+            run_fuzz(0, 20, oracles=["cache"])
         assert stats.fuzz_cases == 20
         assert stats.fuzz_disagreements > 0
         assert stats.fuzz_shrink_steps > 0

@@ -76,6 +76,14 @@ class TestCommands:
         assert err.startswith("error: parse:")
         assert err.count("\n") == 1  # exactly one structured line
 
+    def test_duplicate_quantifiers_are_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "dup.core"
+        bad.write_text("implicit {rule(forall a a . {a} => a, 1)} in 1 : Int")
+        assert main(["run", "--core", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse: duplicate quantified variable 'a'")
+        assert err.count("\n") == 1  # exactly one structured line
+
     def test_resolution_failure_exits_1_with_slug(self, capsys, tmp_path):
         bad = tmp_path / "bad.impl"
         bad.write_text("let x : Int = ? in x")  # empty implicit environment

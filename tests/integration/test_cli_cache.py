@@ -139,7 +139,7 @@ class TestUnreadablePaths:
 
     def test_replay_with_malformed_artifact_dict(self, capsys, tmp_path):
         artifact = tmp_path / "artifact.json"
-        artifact.write_text(json.dumps({"oracle": "index"}))  # no "case"
+        artifact.write_text(json.dumps({"oracle": "compiled"}))  # no "case"
         assert main(["fuzz", "--replay", str(artifact)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid_artifact:")

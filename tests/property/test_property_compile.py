@@ -1,15 +1,15 @@
-"""Differential property tests: compiled matchers == interpreted lookup.
+"""Differential property tests: compiled matchers == the naive scan.
 
 The compiled discrimination-trie path (:mod:`repro.core.compile_env`)
-must be observably equivalent to the interpreted scan on *every*
+must be observably equivalent to the naive reference scan on *every*
 environment, query and overlap policy -- same results carrying the very
-same entry objects, or the same failures with byte-identical messages.
-On top of the equivalence, the compiled artifact itself must be
-deterministic (equal fingerprints yield byte-identical ``trie_key()``
-serializations, whatever the binder names or construction history) and
-scope-correct (push/pop can never surface a stale artifact, because
-artifacts are keyed by the immutable environment they were compiled
-from).
+same entry objects, or the same failures with byte-identical messages
+-- on a cold scan and on its memoized replay alike.  On top of the
+equivalence, the compiled artifact itself must be deterministic (equal
+fingerprints yield byte-identical :func:`trie_key` serializations,
+whatever the binder names or construction history) and scope-correct
+(push/pop can never surface a stale artifact, because artifacts are
+owned by the immutable environment they were compiled for).
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compile_env import compiled_env_for
-from repro.core.env import ImplicitEnv, OverlapPolicy, compiling
+from repro.core.compile_env import trie_key
+from repro.core.env import ImplicitEnv, OverlapPolicy
 from repro.core.subst import subst_type
 from repro.core.types import TVar, promote, rule
+from repro.fuzz.reference import NaiveEnv
+from repro.logic.encode import env_entails, goal_of_type, program_of_env
+from repro.logic.engine import Engine
 
 from .strategies import simple_types
 from .test_property_index import _outcome, random_environments
@@ -31,9 +34,11 @@ from .test_property_index import _outcome, random_environments
 def test_compiled_lookup_is_observably_equivalent(env_queries, policy):
     env, queries = env_queries
     for tau in queries:
-        compiled = _outcome(lambda: env.lookup(tau, policy, use_compiled=True))
-        interpreted = _outcome(lambda: env.lookup(tau, policy, use_compiled=False))
+        compiled = _outcome(lambda: env.lookup(tau, policy))
+        replayed = _outcome(lambda: env.lookup(tau, policy))  # scan memo
+        interpreted = _outcome(lambda: NaiveEnv.of(env).lookup(tau, policy))
         assert compiled == interpreted
+        assert replayed == interpreted
         if compiled[0] == "ok":
             # Same entry object, not merely an equal one: the winning
             # rule's payload identity matters to the elaborator.
@@ -45,10 +50,8 @@ def test_compiled_lookup_is_observably_equivalent(env_queries, policy):
 def test_compiled_lookup_all_enumerates_identically(env_queries):
     env, queries = env_queries
     for tau in queries:
-        compiled = _outcome(lambda: list(env.lookup_all(tau, use_compiled=True)))
-        interpreted = _outcome(
-            lambda: list(env.lookup_all(tau, use_compiled=False))
-        )
+        compiled = _outcome(lambda: list(env.lookup_all(tau)))
+        interpreted = _outcome(lambda: list(NaiveEnv.of(env).lookup_all(tau)))
         assert compiled == interpreted
         if compiled[0] == "ok":
             assert [m.entry for m in compiled[1]] == [
@@ -79,7 +82,7 @@ def test_equal_fingerprints_give_byte_identical_trie_keys(env_queries):
     # Binder names do not enter the structural fingerprint...
     assert renamed.fingerprint() == env.fingerprint()
     # ...and must not enter the compiled artifact either.
-    assert compiled_env_for(renamed).trie_key() == compiled_env_for(env).trie_key()
+    assert trie_key(renamed) == trie_key(env)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +93,14 @@ def test_rebuilt_environments_share_trie_keys(env_queries):
     for frame in env.frames():
         rebuilt = rebuilt.push([entry.rho for entry in frame])
     assert rebuilt.fingerprint() == env.fingerprint()
-    assert compiled_env_for(rebuilt).trie_key() == compiled_env_for(env).trie_key()
+    assert trie_key(rebuilt) == trie_key(env)
+
+
+class _ScanEngine(Engine):
+    """The reference prover: backchaining tries every clause."""
+
+    def clause_selection(self, program):
+        return None
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,16 +113,15 @@ def test_logic_engine_agrees_under_compiled_clause_tries(env_queries):
     backchaining branches exponentially in the bound -- and verdict
     parity at *every* bound is exactly what indexing invisibility
     means."""
-    from repro.logic.encode import env_entails
-
     env, queries = env_queries
     for tau in queries:
         # A rule-type goal additionally exercises Implies (program
         # extension through the trie's root-symbol screen).
         for rho in (tau, rule(tau, [queries[0]])):
-            with compiling(True):
-                compiled = env_entails(env, rho, max_depth=8, cached=False)
-            interpreted = env_entails(env, rho, max_depth=8, cached=False)
+            compiled = env_entails(env, rho, max_depth=8, cached=False)
+            interpreted = _ScanEngine(max_depth=8).entails(
+                program_of_env(env), goal_of_type(rho)
+            )
             assert compiled == interpreted
 
 
@@ -124,15 +133,15 @@ def test_push_pop_never_sees_stale_artifacts(env_queries, extra):
     re-yield exactly the pre-push behaviour."""
     env, queries = env_queries
     tau = queries[0]
-    before = _outcome(lambda: env.lookup(tau, use_compiled=True))
+    before = _outcome(lambda: env.lookup(tau))
     # Push a scope that definitely intercepts the query (plus noise,
     # unless the noise would overlap the interceptor within the frame).
     child = env.push([tau] if extra is tau else [tau, extra])
-    hit = child.lookup(tau, use_compiled=True)
+    hit = child.lookup(tau)
     assert hit.entry is child.frames()[-1][0]
     # Pop back: the parent environment is unchanged and its compiled
     # artifact still answers exactly as it did before the push.
-    after = _outcome(lambda: env.lookup(tau, use_compiled=True))
+    after = _outcome(lambda: env.lookup(tau))
     assert after == before
     if before[0] == "ok":
         assert after[1].entry is before[1].entry

@@ -1,10 +1,11 @@
 """Differential property tests: indexed lookup == naive frame scan.
 
-Head-constructor indexing is a pure pruning optimisation; for every
-environment (including polymorphic, overlapping and variable-headed
-rules), every query and every overlap policy, ``lookup`` /
-``lookup_all`` must produce the same results -- or the same failures
-with the same messages -- whether or not the index is consulted.
+Trie indexing is a pure pruning optimisation; for every environment
+(including polymorphic, overlapping and variable-headed rules), every
+query and every overlap policy, production ``lookup`` / ``lookup_all``
+must produce the same results -- or the same failures with the same
+messages -- as the naive reference scan
+(:class:`repro.fuzz.reference.NaiveEnv`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.env import ImplicitEnv, OverlapPolicy
 from repro.core.subst import subst_type
 from repro.core.types import TVar, promote, rule
 from repro.errors import ImplicitCalculusError
+from repro.fuzz.reference import NaiveEnv
 
 from .strategies import rule_types, simple_types, tvar_name
 
@@ -59,8 +61,8 @@ def _outcome(thunk):
 def test_indexed_lookup_is_observably_equivalent(env_queries, policy):
     env, queries = env_queries
     for tau in queries:
-        indexed = _outcome(lambda: env.lookup(tau, policy, use_index=True))
-        naive = _outcome(lambda: env.lookup(tau, policy, use_index=False))
+        indexed = _outcome(lambda: env.lookup(tau, policy))
+        naive = _outcome(lambda: NaiveEnv.of(env).lookup(tau, policy))
         assert indexed == naive
         if indexed[0] == "ok":
             # Same entry object, not merely an equal one: the winning
@@ -73,8 +75,8 @@ def test_indexed_lookup_is_observably_equivalent(env_queries, policy):
 def test_indexed_lookup_all_enumerates_identically(env_queries):
     env, queries = env_queries
     for tau in queries:
-        indexed = _outcome(lambda: list(env.lookup_all(tau, use_index=True)))
-        naive = _outcome(lambda: list(env.lookup_all(tau, use_index=False)))
+        indexed = _outcome(lambda: list(env.lookup_all(tau)))
+        naive = _outcome(lambda: list(NaiveEnv.of(env).lookup_all(tau)))
         assert indexed == naive
         if indexed[0] == "ok":
             assert [m.entry for m in indexed[1]] == [m.entry for m in naive[1]]

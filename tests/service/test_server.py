@@ -586,7 +586,8 @@ class TestCacheHitsInline:
             ({"session": "t", "type": "(((("}, ErrorCode.PROGRAM_PARSE_ERROR),
             ({"session": "t", "type": 42}, ErrorCode.INVALID_REQUEST),
             ({"session": "ghost", "type": "C0"}, ErrorCode.UNKNOWN_SESSION),
-            # The core parser raises a ValueError here, not a ParseError.
+            # Duplicate quantifiers (the coded answer is pinned by
+            # test_duplicate_quantifiers_are_parse_errors).
             ({"session": "t", "type": "forall a a . {a} => a"}, None),
         ],
     )
@@ -626,6 +627,34 @@ class TestCacheHitsInline:
         for i in range(3):
             assert service.handle_sync(json.loads(_resolve_line(i, query)))["ok"]
         assert parsed == [query]
+
+    def test_cached_failure_query_is_parsed_once(self, service, monkeypatch):
+        from repro.service import server
+
+        new_session(service)
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_core_type(text)
+
+        monkeypatch.setattr(server, "parse_core_type", counting)
+        query = "Bool"  # unprovided: a cached resolution_failure
+        for i in range(3):
+            response = service.handle_sync(json.loads(_resolve_line(i, query)))
+            assert response["error"]["code"] == ErrorCode.RESOLUTION_FAILURE
+        assert parsed == [query]
+
+    def test_duplicate_quantifiers_are_parse_errors(self, service):
+        rho = "forall a a . {a} => a"
+        created = service.handle_sync(
+            {"id": 1, "op": "session/new", "params": {"name": "d", "rules": [rho]}}
+        )
+        assert created["error"]["code"] == ErrorCode.PROGRAM_PARSE_ERROR
+        assert "duplicate quantified variable 'a'" in created["error"]["message"]
+        new_session(service)
+        response = service.handle_sync(json.loads(_resolve_line(2, rho)))
+        assert response["error"]["code"] == ErrorCode.PROGRAM_PARSE_ERROR
 
     def test_disk_only_entry_is_loaded_by_a_worker(self, tmp_path, monkeypatch):
         from repro.store import DerivationStore

@@ -56,6 +56,12 @@ class TestSessionConfig:
         assert excinfo.value.code == ErrorCode.INVALID_REQUEST
         assert "ruless" in str(excinfo.value)
 
+    def test_retired_use_index_is_an_unknown_parameter(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            SessionConfig.from_params({"use_index": True})
+        assert excinfo.value.code == ErrorCode.INVALID_REQUEST
+        assert "unknown session parameter(s): use_index" in str(excinfo.value)
+
 
 class TestSessionLifecycle:
     def test_push_parses_and_deepens(self):

@@ -133,7 +133,6 @@ class TestConfigDocs:
             strategy=ResolutionStrategy.SUBTYPING,
             fuel=123,
             semantics=Semantics.OPERATIONAL,
-            use_index=False,
             cache_entries=9,
         )
         doc = config_doc(config)
@@ -143,5 +142,20 @@ class TestConfigDocs:
         assert restored.strategy is ResolutionStrategy.SUBTYPING
         assert restored.fuel == 123
         assert restored.semantics is Semantics.OPERATIONAL
-        assert restored.use_index is False
         assert restored.cache_entries == 9
+        assert restored == config
+
+    def test_old_use_index_key_is_ignored_on_replay(self):
+        # Journals written while lookup had an indexing toggle carry a
+        # "use_index" key; replaying them must still restore the session.
+        doc = {
+            "policy": "reject",
+            "strategy": "syntactic",
+            "fuel": 64,
+            "semantics": "elaborate",
+            "use_index": False,
+            "cache_entries": 16,
+        }
+        restored = config_from_doc(doc)
+        assert restored.fuel == 64 and restored.cache_entries == 16
+        assert not hasattr(restored, "use_index")
