@@ -23,7 +23,6 @@ Options:
     --verify           re-check the System F target against |tau|
     --most-specific    companion overlap policy instead of no_overlap
     --strategy S       syntactic | extending | backtracking | corecursive
-                       | subtyping
     --stats            print resolution counters (cache hit rate, lookups,
                        unifications, recursion depth, fuel) to stderr
     --no-cache         disable the resolution derivation cache
@@ -118,9 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=ResolutionStrategy.SYNTACTIC.value,
             help="resolution strategy (default: the paper's TyRes; "
             "'corecursive' closes guarded cycles with recursive "
-            "evidence; 'subtyping' cross-checks every resolution "
-            "against the modus-ponens intersection-subtyping decision, "
-            "docs/RESOLUTION.md)",
+            "evidence, docs/RESOLUTION.md)",
         )
         cmd.add_argument(
             "--stats",

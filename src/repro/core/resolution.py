@@ -16,7 +16,7 @@ the elaborator (rule ``TrRes`` reads evidence off the tree) and the
 metatheory tests (which replay the tree against the logical
 interpretation).
 
-Two strategies are provided:
+Four strategies are provided:
 
 * ``SYNTACTIC`` -- the paper's rule ``TyRes``: the environment stays fixed
   throughout recursive resolution.  Simpler to reason about; the default.
@@ -46,16 +46,11 @@ Two strategies are provided:
   otherwise the cycle is reported as divergence, exactly like fuel
   exhaustion (see :func:`derivation_cycles_guarded` and
   docs/RESOLUTION.md).
-* ``SUBTYPING`` -- the syntactic search *cross-validated* by the
-  intersection-subtyping backend (:mod:`repro.subtyping`, after
-  Marntirosian et al. 2020): every top-level query is additionally
-  decided as a modus-ponens subtyping check on the environment's
-  intersection type.  Decision only -- evidence and elaboration still
-  come from the syntactic engine, so verdicts and derivations are
-  observably identical to ``SYNTACTIC``; the ``subtyping_checks`` and
-  ``subtyping_disagreements_guarded`` counters (:mod:`repro.obs`)
-  record that the check ran and whether it ever contradicted the
-  syntactic engine in the direction theory forbids.
+
+Resolution success implies modus-ponens intersection subtyping
+(Marntirosian et al. 2020).  That theorem is checked by the
+``subtyping`` fuzz oracle against :mod:`repro.subtyping`, not on every
+production query.
 
 Recursive resolution may diverge (appendix "Termination of Resolution");
 a fuel bound turns divergence into :class:`ResolutionDivergenceError`.
@@ -88,7 +83,6 @@ from ..obs.stats import (
     ResolutionStats,
     record_corec_cycle,
     record_corec_guard_rejection,
-    record_subtyping_disagreement_guarded,
 )
 from ..obs.trace import CACHE_HIT, CACHE_MISS, FAILURE, QUERY, SUCCESS, Tracer
 from .cache import ResolutionCache, fresh_failure
@@ -105,7 +99,15 @@ class ResolutionStrategy(enum.Enum):
     EXTENDING = "extending"
     BACKTRACKING = "backtracking"
     CORECURSIVE = "corecursive"
-    SUBTYPING = "subtyping"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "ResolutionStrategy | None":
+        # Journals, store records and clients from before the subtyping
+        # cross-check strategy was removed may still name it.  It always
+        # answered exactly like SYNTACTIC, so that is what it reads as.
+        if value == "subtyping":
+            return cls.SYNTACTIC
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,42 +356,7 @@ class Resolver:
             stats.queries += 1
         if self.strategy is ResolutionStrategy.CORECURSIVE:
             return self._resolve(env, rho, self.fuel, stack=[])
-        if self.strategy is ResolutionStrategy.SUBTYPING:
-            return self._resolve_with_subtyping_check(env, rho)
         return self._resolve(env, rho, self.fuel)
-
-    def _resolve_with_subtyping_check(
-        self, env: ImplicitEnv, rho: Type
-    ) -> Derivation:
-        """The ``SUBTYPING`` strategy: decision by modus-ponens subtyping,
-        evidence by the syntactic engine.
-
-        The subtyping backend answers the check-style question; the
-        syntactic search then produces (or denies) the derivation as
-        usual, so the strategy's observable verdicts match ``SYNTACTIC``
-        exactly.  The two are compared where theory makes a claim --
-        resolution success implies subtyping (Marntirosian et al. 2020)
-        -- and a definitive subtyping denial against a syntactic proof
-        bumps ``subtyping_disagreements_guarded`` while the syntactic
-        answer is kept.  Budget-dependent outcomes (fuel divergence,
-        deadlines, an ``EXHAUSTED`` subtyping verdict) are outside the
-        comparable fragment and propagate uncompared.
-        """
-        from ..subtyping import SubtypingVerdict, decide
-
-        result = decide(env, rho)
-        try:
-            derivation = self._resolve(env, rho, self.fuel)
-        except (ResolutionDivergenceError, DeadlineExceededError):
-            raise  # budget outcome on the evidence side: not comparable
-        except (NoMatchingRuleError, OverlappingRulesError):
-            # Subtyping proving strictly more is the *expected*
-            # over-approximation (no nearness, no overlap policy in an
-            # intersection); only the forbidden direction is alarming.
-            raise
-        if result.verdict is SubtypingVerdict.FAILS:
-            record_subtyping_disagreement_guarded()
-        return derivation
 
     def resolvable(self, env: ImplicitEnv, rho: Type) -> bool:
         from ..errors import ResolutionError

@@ -93,15 +93,8 @@ Counter glossary (see also ``docs/OBSERVABILITY.md``):
                     divergence, exactly like fuel exhaustion)
 ``subtyping_checks`` intersection-subtyping decisions computed by the
                     modus-ponens backend (:mod:`repro.subtyping`), from
-                    any entry point: the ``SUBTYPING`` strategy, the
-                    ``subtyping/check`` service op, or the fuzz oracle
-``subtyping_disagreements_guarded`` queries where the syntactic engine
-                    produced a derivation but the subtyping decision
-                    definitively denied it -- the direction theory
-                    forbids (resolution implies subtyping), so any
-                    non-zero value is an engine bug or an injected
-                    fault; the syntactic answer is kept (guarded),
-                    never overridden
+                    either entry point: the ``subtyping/check`` service
+                    op or the ``subtyping`` fuzz oracle
 ============== ============================================================
 """
 
@@ -148,7 +141,6 @@ class ResolutionStats:
     corec_cycles_closed: int = 0
     corec_guard_rejections: int = 0
     subtyping_checks: int = 0
-    subtyping_disagreements_guarded: int = 0
 
     # -- derived ---------------------------------------------------------
 
@@ -337,10 +329,3 @@ def record_subtyping_check() -> None:
     stats = getattr(_SLOT, "stats", None)
     if stats is not None:
         stats.subtyping_checks += 1
-
-
-def record_subtyping_disagreement_guarded() -> None:
-    """One forbidden-direction cross-check mismatch, guarded over."""
-    stats = getattr(_SLOT, "stats", None)
-    if stats is not None:
-        stats.subtyping_disagreements_guarded += 1

@@ -395,8 +395,9 @@ def run_smoke_sharded(
     """Drive push/resolve/pop across many sessions of a sharded server.
 
     Expects a server started with ``--workers 2`` (or more).  Asserts
-    the aggregated ``server/stats`` view really sums the per-shard
-    counters and request totals.
+    that ``subtyping/check`` reaches a shard and holds, and that the
+    aggregated ``server/stats`` view really sums the per-shard counters
+    and request totals.
     """
 
     def note(message: str) -> None:
@@ -414,6 +415,11 @@ def run_smoke_sharded(
     for i, handle in enumerate(handles):
         assert handle.resolve("(Int, Int)")["size"] == 2
         assert handle.resolve("D%d" % i)["resolved"]
+        # Every op of the shared vocabulary reaches a shard, this one too.
+        checked = client.call(
+            "subtyping/check", {"session": handle.name, "type": "(Int, Int)"}
+        )
+        assert checked["holds"], checked
         handle.push_rules(["Char"])
         assert handle.resolve("Char")["resolved"]
         assert handle.pop() == 1

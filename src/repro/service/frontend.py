@@ -23,19 +23,40 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Awaitable, Callable, TextIO
 
-from .protocol import encode
+from .protocol import LINE_TOO_LONG, MAX_LINE_BYTES, encode, read_bounded_line
+
+
+async def _read_bounded(stream: asyncio.StreamReader) -> "str | None":
+    """One line, or ``None`` for a line over the stream's limit
+    (:data:`~repro.service.protocol.MAX_LINE_BYTES`), which is read
+    through its newline and dropped."""
+    try:
+        return (await stream.readuntil(b"\n")).decode("utf-8")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial.decode("utf-8")  # EOF: the last line, or ""
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await stream.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            await stream.readexactly(exc.consumed)
 
 
 async def _pump_async(
     service: Any,
-    readline: Callable[[], Awaitable[str]],
+    readline: Callable[[], Awaitable["str | None"]],
     write_line: Callable[[str], Awaitable[None]],
 ) -> None:
     """The async transport loop: read, dispatch, write completions.
 
-    Mirrors ``server._pump``: returns on EOF or once a ``shutdown``
-    request has been answered, then drains outstanding tasks so
-    shutdown is clean, never lossy.
+    Mirrors ``server._pump``: answers an over-long line (``readline``
+    gives ``None``) with ``invalid_request``, returns on EOF or once a
+    ``shutdown`` request has been answered, then drains outstanding
+    tasks so shutdown is clean, never lossy.
     """
     tasks: set[asyncio.Task] = set()
 
@@ -44,6 +65,9 @@ async def _pump_async(
 
     while True:
         line = await readline()
+        if line is None:
+            await write_line(LINE_TOO_LONG)
+            continue
         if not line:
             break
         if not line.strip():
@@ -71,19 +95,21 @@ async def _stdio_main(service: Any, stdin: TextIO, stdout: TextIO) -> None:
             stdout.flush()
 
     try:
-        stream = asyncio.StreamReader()
+        stream = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(stream), stdin
         )
 
-        async def readline() -> str:
-            return (await stream.readline()).decode("utf-8")
+        async def readline() -> "str | None":
+            return await _read_bounded(stream)
 
     except (ValueError, OSError, AttributeError):
         # Not a pipe/tty (a regular file, or a test double without a
         # fileno): fall back to reading on the default executor.
-        async def readline() -> str:
-            return await loop.run_in_executor(None, stdin.readline)
+        async def readline() -> "str | None":
+            return await loop.run_in_executor(
+                None, read_bounded_line, stdin.readline
+            )
 
     await _pump_async(service, readline, write_line)
 
@@ -120,10 +146,7 @@ async def _tcp_main(service: Any, host: str, port: int) -> None:
             except (BrokenPipeError, ConnectionResetError, OSError):
                 pass  # client went away; nothing to tell it
 
-        async def readline() -> str:
-            return (await reader.readline()).decode("utf-8")
-
-        await _pump_async(service, readline, write_line)
+        await _pump_async(service, lambda: _read_bounded(reader), write_line)
         try:
             writer.close()
         except OSError:  # pragma: no cover - already torn down
@@ -133,7 +156,7 @@ async def _tcp_main(service: Any, host: str, port: int) -> None:
             # server, all connections, not just the issuing one.
             stopped.set()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=MAX_LINE_BYTES)
     async with server:
         await stopped.wait()
 

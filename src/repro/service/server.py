@@ -37,11 +37,9 @@ import weakref
 from concurrent.futures import Future, wait as wait_futures
 from typing import Any, Callable, TextIO
 
-from .. import __version__
 from ..core.cache import ResolutionCache
 from ..core.parser import parse_core_expr, parse_core_type
 from ..core.pretty import pretty_type
-from ..core.resolution import ResolutionStrategy
 from ..core.terms import EMPTY_SIGNATURE
 from ..core.types import Type
 from ..errors import (
@@ -54,14 +52,24 @@ from ..errors import (
 from ..obs import ResolutionStats, collecting
 from ..pipeline import Semantics, compile_source, run_core, typecheck_core
 from .protocol import (
-    PROTOCOL_VERSION,
+    SERVER_OPS,
+    SESSION_OPS,
+    WORK_OPS,
     ErrorCode,
     ProtocolError,
     Request,
+    Service,
+    deadline_of,
+    dispatch_table,
     encode,
     error_response,
+    LINE_TOO_LONG,
     ok_response,
-    parse_request,
+    query_param,
+    read_bounded_line,
+    rules_param,
+    session_new_params,
+    unknown_op,
 )
 from .sessions import SessionConfig, SessionRegistry
 from .worker import Overloaded, SingleFlight, WorkerPool
@@ -70,7 +78,7 @@ from .worker import Overloaded, SingleFlight, WorkerPool
 MAX_DEBUG_SLEEP = 5.0
 
 
-class ResolutionService:
+class ResolutionService(Service):
     """Dispatches decoded requests; owns sessions, pool and counters."""
 
     def __init__(
@@ -111,26 +119,12 @@ class ResolutionService:
             self.store = DerivationStore(cache_dir)
             self.journal = SessionJournal(os.path.join(cache_dir, "sessions.log"))
             self._restore_sessions()
-        self._control: dict[str, Callable[[Request], Any]] = {
-            "ping": self._op_ping,
-            "version": self._op_version,
-            "server/stats": self._op_server_stats,
-            "shutdown": self._op_shutdown,
-            "session/new": self._op_session_new,
-            "session/push_rules": self._op_session_push,
-            "session/pop": self._op_session_pop,
-            "session/stats": self._op_session_stats,
-            "session/close": self._op_session_close,
-        }
-        self._work: dict[str, Callable[[Request, float | None, ResolutionStats], Any]] = {
-            "resolve": self._op_resolve,
-            "typecheck": self._op_typecheck,
-            "run_core": self._op_run_core,
-            "run_source": self._op_run_source,
-            "lint": self._op_lint,
-            "subtyping/check": self._op_subtyping_check,
-            "debug/sleep": self._op_debug_sleep,
-        }
+        self._control: dict[str, Callable[[Request], Any]] = dispatch_table(
+            self, SERVER_OPS + SESSION_OPS
+        )
+        self._work: dict[
+            str, Callable[[Request, float | None, ResolutionStats], Any]
+        ] = dispatch_table(self, WORK_OPS)
 
     # -- durable sessions --------------------------------------------------
 
@@ -186,21 +180,14 @@ class ResolutionService:
 
     # -- entry point -------------------------------------------------------
 
-    def process_line(self, line: str) -> "dict | Future":
-        """One request line -> a response dict or a Future of one.
+    def process(self, request: Request) -> "dict | Future":
+        """One request -> a response dict or a Future of one.
 
         Control operations and derivation-cache hits complete inline;
         other work operations return a :class:`~concurrent.futures.Future`
         resolving to the response dict (never raising -- errors are
         encoded as error responses).
         """
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            return error_response(None, exc.code, str(exc))
-        return self.process(request)
-
-    def process(self, request: Request) -> "dict | Future":
         with self._stats_lock:
             self.requests += 1
         handler = self._control.get(request.op)
@@ -217,9 +204,7 @@ class ResolutionService:
             except Exception as exc:  # noqa: BLE001 - protocol boundary
                 return error_response(request.id, ErrorCode.INTERNAL, repr(exc))
         if request.op not in self._work:
-            return error_response(
-                request.id, ErrorCode.UNKNOWN_OP, f"unknown op {request.op!r}"
-            )
+            return unknown_op(request)
         if self.stopping.is_set():
             return error_response(
                 request.id,
@@ -227,9 +212,10 @@ class ResolutionService:
                 "server is shutting down",
                 backoff_ms=100,
             )
-        deadline = self._deadline_of(request)
-        if isinstance(deadline, dict):  # invalid deadline_ms param
-            return deadline
+        try:
+            deadline = deadline_of(request.params)
+        except ProtocolError as exc:
+            return error_response(request.id, exc.code, str(exc))
         if request.op == "resolve":
             request, cached = self._probe(request)
             if cached:
@@ -247,15 +233,6 @@ class ResolutionService:
                 details={"queue_depth": exc.depth, "watermark": exc.watermark},
             )
 
-    def handle_sync(self, request_payload: dict) -> dict:
-        """Convenience for in-process callers: dict in, dict out."""
-        import json
-
-        outcome = self.process_line(json.dumps(request_payload))
-        if isinstance(outcome, Future):
-            return outcome.result()
-        return outcome
-
     # -- request execution -------------------------------------------------
 
     def _query_type(self, params: dict) -> Type:
@@ -268,9 +245,7 @@ class ResolutionService:
         query = params.get("type")
         if isinstance(query, Type):
             return query
-        if not isinstance(query, str):
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'type' must be a string")
-        rho = self._query_types.get(query)
+        rho = self._query_types.get(query_param(query))
         if rho is None:
             rho = self._query_types[query] = parse_core_type(query)
         return rho
@@ -299,27 +274,12 @@ class ResolutionService:
         request = Request(request.id, request.op, {**request.params, "type": rho})
         resolver = session.resolver
         cache = resolver.cache
-        if cache is None or resolver.strategy is ResolutionStrategy.SUBTYPING:
-            # The subtyping strategy decides every query before its cache
-            # probe, so even its hits are real work.
+        if cache is None:
             return request, False
         key = ResolutionCache.key_for(
             session.current_env(), rho, resolver.strategy, resolver.policy
         )
         return request, cache.holds(key, resolver.fuel)
-
-    @staticmethod
-    def _deadline_of(request: Request) -> "float | None | dict":
-        deadline_ms = request.params.get("deadline_ms")
-        if deadline_ms is None:
-            return None
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms < 0:
-            return error_response(
-                request.id,
-                ErrorCode.INVALID_REQUEST,
-                "'deadline_ms' must be a non-negative number",
-            )
-        return time.monotonic() + deadline_ms / 1000.0
 
     def _execute(self, request: Request, deadline: float | None) -> dict:
         """Runs on a worker thread, or inline for a derivation-cache hit;
@@ -391,16 +351,6 @@ class ResolutionService:
 
     # -- control operations ------------------------------------------------
 
-    def _op_ping(self, request: Request) -> dict:
-        return {"pong": True, "echo": request.params.get("echo")}
-
-    def _op_version(self, request: Request) -> dict:
-        return {
-            "package": __version__,
-            "protocol": PROTOCOL_VERSION,
-            "python": sys.version.split()[0],
-        }
-
     def _op_server_stats(self, request: Request) -> dict:
         with self._stats_lock:
             counters = self.stats.as_dict()
@@ -427,20 +377,10 @@ class ResolutionService:
         return {"stopping": True}
 
     def _op_session_new(self, request: Request) -> dict:
-        name = request.params.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'name' must be a string")
-        rules = request.params.get("rules")
-        if rules is not None and (
-            not isinstance(rules, list)
-            or not all(isinstance(r, (str, Type)) for r in rules)
-        ):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'rules' must be a list of type strings"
-            )
+        name, rules, config_params = session_new_params(request.params)
         config = (
             SessionConfig.from_params(request.params)
-            if set(request.params) - {"name", "rules"}
+            if config_params
             else self.default_config
         )
         session = self.registry.create(name, config, store=self.store)
@@ -465,15 +405,9 @@ class ResolutionService:
                 )
         return {"session": session.name, "depth": depth}
 
-    def _op_session_push(self, request: Request) -> dict:
+    def _op_session_push_rules(self, request: Request) -> dict:
         session = self.registry.get(request.params.get("session"))
-        rules = request.params.get("rules")
-        if not isinstance(rules, list) or not all(
-            isinstance(r, (str, Type)) for r in rules
-        ):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'rules' must be a list of type strings"
-            )
+        rules = rules_param(request.params.get("rules"))
         depth = session.push_rules(rules)
         if self.journal is not None:
             wired = self._wire_rules(rules)
@@ -513,12 +447,9 @@ class ResolutionService:
             )
             # The derivation-cache key *is* the identity of this unit of
             # work: identical concurrent queries share one proof.  A query
-            # the cache already answers has nothing to share -- unless the
-            # subtyping strategy still decides it before the cache probe.
-            if (
-                resolver.cache is None
-                or resolver.strategy is ResolutionStrategy.SUBTYPING
-                or not resolver.cache.holds(cache_key, resolver.fuel)
+            # the cache already answers has nothing to share.
+            if resolver.cache is None or not resolver.cache.holds(
+                cache_key, resolver.fuel
             ):
                 key = ("resolve", session.name, cache_key, resolver.fuel)
 
@@ -737,20 +668,26 @@ class ResolutionService:
 
 def _pump(
     service: ResolutionService,
-    read_line: Callable[[], str],
+    read_line: Callable[[], "str | None"],
     write_line: Callable[[str], None],
 ) -> None:
     """Shared transport loop: read, dispatch, write completions.
 
-    ``write_line`` must be safe to call from worker callback threads (the
-    transports pass a lock-guarded writer).  Returns when the input is
-    exhausted or a ``shutdown`` request was answered; outstanding futures
-    are drained before returning so shutdown is clean, never lossy.
+    ``read_line`` returns ``None`` for a line over
+    :data:`~repro.service.protocol.MAX_LINE_BYTES` (answered with
+    ``invalid_request``) and ``""`` at EOF.  ``write_line`` must be safe
+    to call from worker callback threads (the transports pass a
+    lock-guarded writer).  Returns when the input is exhausted or a
+    ``shutdown`` request was answered; outstanding futures are drained
+    before returning so shutdown is clean, never lossy.
     """
     outstanding: set[Future] = set()
     tracking = threading.Lock()
     while True:
         line = read_line()
+        if line is None:
+            write_line(LINE_TOO_LONG)
+            continue
         if not line:
             break
         if not line.strip():
@@ -791,7 +728,7 @@ def serve_stdio(
             writer.flush()
 
     try:
-        _pump(service, reader.readline, write_line)
+        _pump(service, lambda: read_bounded_line(reader.readline), write_line)
     finally:
         service.shutdown()
     return 0
@@ -816,9 +753,9 @@ def serve_tcp(service: ResolutionService, host: str, port: int) -> int:
                     except (BrokenPipeError, OSError):
                         pass  # client went away; nothing to tell it
 
-            def read_line() -> str:
-                data = self.rfile.readline()
-                return data.decode("utf-8") if data else ""
+            def read_line() -> "str | None":
+                data = read_bounded_line(self.rfile.readline)
+                return data if data is None else data.decode("utf-8")
 
             _pump(service, read_line, write_line)
             if service.stopping.is_set():

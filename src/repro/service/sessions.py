@@ -33,7 +33,12 @@ from ..core.resolution import DEFAULT_FUEL, ResolutionStrategy, Resolver
 from ..core.types import Type
 from ..obs import ResolutionStats
 from ..pipeline import Semantics
-from .protocol import ErrorCode, ProtocolError
+from .protocol import (
+    ErrorCode,
+    ProtocolError,
+    claim_session_name,
+    find_session,
+)
 
 
 @dataclass(frozen=True)
@@ -219,31 +224,15 @@ class SessionRegistry:
         self, name: str | None, config: SessionConfig, store=None
     ) -> Session:
         with self._lock:
-            if name is None:
-                name = f"s{next(self._auto_names)}"
-                while name in self._sessions:
-                    name = f"s{next(self._auto_names)}"
-            elif name in self._sessions:
-                raise ProtocolError(
-                    ErrorCode.INVALID_REQUEST, f"session {name!r} already exists"
-                )
+            name = claim_session_name(name, self._sessions, self._auto_names)
             session = Session(name, config, store=store)
             self._sessions[name] = session
             self.created += 1
             return session
 
     def get(self, name: object) -> Session:
-        if not isinstance(name, str):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'session' must be a string"
-            )
         with self._lock:
-            session = self._sessions.get(name)
-        if session is None:
-            raise ProtocolError(
-                ErrorCode.UNKNOWN_SESSION, f"no session named {name!r}"
-            )
-        return session
+            return find_session(self._sessions, name)
 
     def close(self, name: str) -> Session:
         session = self.get(name)

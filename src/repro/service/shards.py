@@ -33,10 +33,12 @@ pushed frame, already wire-encoded) so it can
   shed with a retryable ``overloaded`` + backoff) while in-flight
   requests complete; ``shutdown()`` then stops the workers cleanly.
 
-The supervisor mirrors the single-process server's validation order
-(and exact error messages) for everything it must inspect to route --
-session names, rule parsing, deadlines -- so the sharded and
-single-process services are byte-for-byte comparable, which the
+The supervisor routes from the op vocabulary in
+:mod:`repro.service.protocol`.  What it must inspect to route -- session
+names, rules, deadlines -- it validates with the same shared checks the
+single-process server calls, in the same order; everything else (query
+and program text, ``subtyping/check``, ...) the owning shard validates.
+So the two deployments answer byte-for-byte alike, which the
 ``sharded`` fuzz oracle checks on every push/resolve/pop sequence.
 """
 
@@ -52,19 +54,28 @@ import time
 from concurrent.futures import Future
 from typing import Any, Callable
 
-from .. import __version__
 from ..core.parser import parse_core_type
 from ..core.types import Type
 from ..errors import ParseError
 from ..obs import ResolutionStats
 from .protocol import (
-    PROTOCOL_VERSION,
+    SERVER_OPS,
+    SESSION_OPS,
+    SESSIONLESS_OPS,
+    WORK_OPS,
     ErrorCode,
     ProtocolError,
     Request,
+    Service,
+    claim_session_name,
+    deadline_of,
+    dispatch_table,
     error_response,
+    find_session,
     ok_response,
-    parse_request,
+    rules_param,
+    session_new_params,
+    unknown_op,
 )
 from .sessions import SessionConfig
 from . import wire
@@ -257,21 +268,17 @@ class _SessionRecord:
         self.frames: list[list[Type]] = []
 
 
-class ShardSupervisor:
+class ShardSupervisor(Service):
     """Routes requests to shard workers; owns placement and warm logs.
 
-    Exposes the same ``process_line`` / ``process`` / ``handle_sync`` /
-    ``stopping`` / ``shutdown`` surface as
+    A :class:`~repro.service.protocol.Service` like
     :class:`~repro.service.server.ResolutionService`, so every existing
     transport and the in-process client drive it unchanged.
     """
 
-    #: Work ops the single-process server knows; anything else is
-    #: ``unknown_op`` *before* any shed/deadline checks (same order).
-    _WORK_OPS = frozenset(
-        {"resolve", "typecheck", "run_core", "run_source", "lint", "debug/sleep"}
-    )
-    _SESSION_WORK_OPS = _WORK_OPS - {"debug/sleep"}
+    #: Ops the supervisor forwards to a shard; the rest of the
+    #: vocabulary it answers itself, and anything else is ``unknown_op``.
+    _ROUTED_OPS = frozenset(SESSION_OPS + WORK_OPS)
 
     def __init__(
         self,
@@ -311,6 +318,7 @@ class ShardSupervisor:
         for slot in range(workers):
             self._shards[slot] = self._spawn(slot)
             self._ring.add(slot)
+        self._local = dispatch_table(self, SERVER_OPS)
         self._health_thread: threading.Thread | None = None
         if health_interval is not None:
             self._health_thread = threading.Thread(
@@ -446,52 +454,19 @@ class ShardSupervisor:
         with self._lock:
             return len(self._shards)
 
-    # -- entry points ------------------------------------------------------
-
-    def process_line(self, line: str) -> "dict | Future":
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            return error_response(None, exc.code, str(exc))
-        return self.process(request)
-
-    def handle_sync(self, request_payload: dict) -> dict:
-        import json
-
-        outcome = self.process_line(json.dumps(request_payload))
-        if isinstance(outcome, Future):
-            return outcome.result()
-        return outcome
+    # -- entry point -------------------------------------------------------
 
     def process(self, request: Request) -> "dict | Future":
         with self._stats_lock:
             self.requests += 1
+        op = request.op
         try:
-            if request.op == "ping":
-                return ok_response(
-                    request.id,
-                    {"pong": True, "echo": request.params.get("echo")},
-                )
-            if request.op == "version":
-                return ok_response(
-                    request.id,
-                    {
-                        "package": __version__,
-                        "protocol": PROTOCOL_VERSION,
-                        "python": sys.version.split()[0],
-                    },
-                )
-            if request.op == "server/stats":
-                return ok_response(request.id, self._aggregate_stats())
-            if request.op == "shutdown":
-                self._draining = True
-                self.stopping.set()
-                return ok_response(request.id, {"stopping": True})
-            if request.op.startswith("session/") or request.op in self._WORK_OPS:
+            handler = self._local.get(op)
+            if handler is not None:
+                return ok_response(request.id, handler(request))
+            if op in self._ROUTED_OPS:
                 return self._route(request)
-            return error_response(
-                request.id, ErrorCode.UNKNOWN_OP, f"unknown op {request.op!r}"
-            )
+            return unknown_op(request)
         except ProtocolError as exc:
             return error_response(request.id, exc.code, str(exc))
         except ParseError as exc:
@@ -499,108 +474,61 @@ class ShardSupervisor:
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             return error_response(request.id, ErrorCode.INTERNAL, repr(exc))
 
+    # -- local operations --------------------------------------------------
+
+    def _op_shutdown(self, request: Request) -> dict:
+        self._draining = True
+        self.stopping.set()
+        return {"stopping": True}
+
     # -- routing -----------------------------------------------------------
 
-    def _shed(self, request: Request) -> dict:
-        return error_response(
-            request.id,
-            ErrorCode.OVERLOADED,
-            "supervisor is draining",
-            backoff_ms=DRAIN_BACKOFF_MS,
-        )
-
     def _route(self, request: Request) -> "dict | Future":
+        if self._draining:
+            return error_response(
+                request.id, ErrorCode.OVERLOADED, "supervisor is draining",
+                backoff_ms=DRAIN_BACKOFF_MS,
+            )
         op = request.op
         if op == "session/new":
-            if self._draining:
-                return self._shed(request)
             return self._route_session_new(request)
-        if op in ("session/push_rules", "session/pop", "session/stats",
-                  "session/close"):
-            if self._draining:
-                return self._shed(request)
+        if op in SESSION_OPS:
             return self._route_session_op(request)
-        if op not in self._WORK_OPS:
-            return error_response(
-                request.id, ErrorCode.UNKNOWN_OP, f"unknown op {op!r}"
-            )
-        if self._draining:
-            return self._shed(request)
-        # Mirror the single-process admission order: deadline validity
-        # is checked before the session is looked at.
-        deadline_ms = request.params.get("deadline_ms")
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms < 0
-        ):
-            return error_response(
-                request.id,
-                ErrorCode.INVALID_REQUEST,
-                "'deadline_ms' must be a non-negative number",
-            )
-        if op in self._SESSION_WORK_OPS:
-            record = self._record_of(request.params.get("session"))
-            if op == "resolve":
-                return self._route_resolve(request, record)
-            return self._dispatch(record.slot, request)
-        # Session-less work (debug/sleep): round-robin.
-        with self._lock:
-            slots = sorted(self._shards)
-        slot = slots[next(self._round_robin) % len(slots)]
-        return self._dispatch(slot, request)
+        # The single-process admission order: deadline validity is
+        # checked before the session is looked at.
+        deadline_of(request.params)
+        if op in SESSIONLESS_OPS:
+            with self._lock:
+                slots = sorted(self._shards)
+            slot = slots[next(self._round_robin) % len(slots)]
+            return self._dispatch(slot, request)
+        record = self._record_of(request.params.get("session"))
+        if op == "resolve" and isinstance(request.params.get("type"), str):
+            # Ship structure: the worker interns the decoded type instead
+            # of re-running the text parser.  A query that does not parse
+            # goes as text, and the shard answers and counts it.
+            try:
+                rho = parse_core_type(request.params["type"])
+            except (ParseError, RecursionError):
+                pass
+            else:
+                request = Request(request.id, op, {**request.params, "type": rho})
+        return self._dispatch(record.slot, request)
 
     def _record_of(self, name: object) -> _SessionRecord:
-        """Mirror ``SessionRegistry.get``'s errors, byte for byte."""
-        if not isinstance(name, str):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'session' must be a string"
-            )
         with self._lock:
-            record = self._sessions.get(name)
-        if record is None:
-            raise ProtocolError(
-                ErrorCode.UNKNOWN_SESSION, f"no session named {name!r}"
-            )
-        return record
-
-    @staticmethod
-    def _parse_rules(rules: object) -> list[Type]:
-        """Mirror the server's rules validation + parse, byte for byte."""
-        if not isinstance(rules, list) or not all(
-            isinstance(r, str) for r in rules
-        ):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'rules' must be a list of type strings"
-            )
-        return [parse_core_type(text) for text in rules]
+            return find_session(self._sessions, name)
 
     def _route_session_new(self, request: Request) -> "dict | Future":
         params = request.params
-        name = params.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'name' must be a string")
-        rules = params.get("rules")
-        if rules is not None and (
-            not isinstance(rules, list)
-            or not all(isinstance(r, str) for r in rules)
-        ):
-            raise ProtocolError(
-                ErrorCode.INVALID_REQUEST, "'rules' must be a list of type strings"
-            )
-        extras = {k: v for k, v in params.items() if k not in ("name", "rules")}
+        name, rules, extras = session_new_params(params)
         if extras:
             # Surface config errors locally in the single-process order
             # (before rule parsing); the worker re-validates on arrival.
             SessionConfig.from_params(params)
-        parsed = self._parse_rules(rules) if rules else []
         with self._lock:
-            if name is None:
-                name = f"s{next(self._auto_names)}"
-                while name in self._sessions:
-                    name = f"s{next(self._auto_names)}"
-            elif name in self._sessions:
-                raise ProtocolError(
-                    ErrorCode.INVALID_REQUEST, f"session {name!r} already exists"
-                )
+            name = claim_session_name(name, self._sessions, self._auto_names)
+        parsed = [_parsed(r) for r in rules] if rules else []
         key = wire.session_key(name, parsed)
         slot = self._ring.lookup(key)
         record = _SessionRecord(name, key, slot, extras)
@@ -624,7 +552,7 @@ class ShardSupervisor:
         op = request.op
         record = self._record_of(request.params.get("session"))
         if op == "session/push_rules":
-            parsed = self._parse_rules(request.params.get("rules"))
+            parsed = [_parsed(r) for r in rules_param(request.params.get("rules"))]
             forward = Request(
                 request.id, op, {"session": record.name, "rules": parsed}
             )
@@ -651,23 +579,6 @@ class ShardSupervisor:
             return self._dispatch(record.slot, request, commit)
         return self._dispatch(record.slot, request)
 
-    def _route_resolve(
-        self, request: Request, record: _SessionRecord
-    ) -> "dict | Future":
-        """Parse the query here (mirroring the server's errors) and ship
-        structure: the worker interns the decoded type instead of
-        re-running the text parser."""
-        query_text = request.params.get("type")
-        if isinstance(query_text, str):
-            rho = parse_core_type(query_text)
-        elif isinstance(query_text, Type):
-            rho = query_text
-        else:
-            raise ProtocolError(ErrorCode.INVALID_REQUEST, "'type' must be a string")
-        params = dict(request.params)
-        params["type"] = rho
-        return self._dispatch(record.slot, Request(request.id, "resolve", params))
-
     def _dispatch(
         self,
         slot: int,
@@ -691,7 +602,7 @@ class ShardSupervisor:
 
     # -- stats -------------------------------------------------------------
 
-    def _aggregate_stats(self) -> dict:
+    def _op_server_stats(self, request: Request) -> dict:
         """One ``server/stats`` view summing counters across every shard."""
         shards = []
         total = self.stats.snapshot()
@@ -767,6 +678,10 @@ class ShardSupervisor:
 
     def __exit__(self, *_exc: Any) -> None:
         self.shutdown()
+
+
+def _parsed(text: "str | Type") -> Type:
+    return text if isinstance(text, Type) else parse_core_type(text)
 
 
 #: The in-process facade name used by the fuzz oracle and the benches.

@@ -4,9 +4,10 @@ The translation of a frozen :class:`~repro.core.env.ImplicitEnv` into an
 intersection type lives in :mod:`repro.subtyping.intersection`; the
 terminating decision procedure (with checkable derivations) in
 :mod:`repro.subtyping.decide`.  The backend is exposed to the rest of
-the system as ``ResolutionStrategy.SUBTYPING``
-(:mod:`repro.core.resolution`), the ``--strategy subtyping`` CLI flag,
-the ``subtyping/check`` service op, and the ``subtyping`` fuzz oracle.
+the system as the ``subtyping/check`` service op (both deployments)
+and the ``subtyping`` fuzz oracle, which checks that every resolution
+success is subtyping-provable.  It is not a resolution strategy: it
+only decides, and its answers never change what ``Resolver`` returns.
 See docs/RESOLUTION.md for the worked example and docs/TESTING.md for
 the oracle's carve-out list.
 """

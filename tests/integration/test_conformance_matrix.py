@@ -6,16 +6,15 @@ produce *identical verdicts*, with every intentional divergence asserted
 individually rather than skipped:
 
 * ``recursive_eq.impl`` resolves only under ``corecursive`` (the other
-  four strategies report ``resolution_divergence`` by design -- the
+  three strategies report ``resolution_divergence`` by design -- the
   rule environment violates the termination condition the syntactic
   engines assume, docs/RESOLUTION.md);
 * ``broken.impl`` fails under *every* configuration with the same
   diagnosis (it is the lint showcase; no strategy may "rescue" it).
 
-The ``subtyping`` strategy earns its place in the matrix here: it is
-the syntactic search cross-validated by the modus-ponens decision
-procedure, so any observable difference from ``syntactic`` is a bug by
-construction.
+Modus-ponens subtyping is a decision procedure, not a strategy, so it
+has no column here; the ``subtyping`` fuzz oracle checks it against
+resolution.
 """
 
 from __future__ import annotations

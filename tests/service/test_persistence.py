@@ -87,6 +87,34 @@ class TestServiceRestart:
         finally:
             svc.shutdown()
 
+    def test_journal_naming_the_old_subtyping_strategy_restores(self, tmp_path):
+        # Journals written while ``subtyping`` was a strategy carry it in
+        # the session config; such a session restores as syntactic.
+        from repro.core.parser import parse_core_type
+        from repro.service.wire import encode_type
+        from repro.store import SessionJournal
+
+        journal = SessionJournal(os.path.join(str(tmp_path), "sessions.log"))
+        config = {
+            "policy": "reject",
+            "strategy": "subtyping",
+            "fuel": 512,
+            "semantics": "elaborate",
+            "cache_entries": 64,
+        }
+        journal.record_new(
+            "old", config, [encode_type(parse_core_type(r)) for r in CHAIN]
+        )
+        journal.close()
+        svc = ResolutionService(workers=2, queue_depth=16, cache_dir=str(tmp_path))
+        try:
+            assert svc.sessions_restored == 1
+            assert call(svc, "resolve", {"session": "old", "type": "C8"})["ok"]
+            stats = call(svc, "session/stats", {"session": "old"})["result"]
+            assert stats["config"]["strategy"] == "syntactic"
+        finally:
+            svc.shutdown()
+
     def test_stateless_service_has_no_store_section(self):
         svc = ResolutionService(workers=2, queue_depth=16)
         try:

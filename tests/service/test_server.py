@@ -442,44 +442,6 @@ class TestCoalescing:
         assert all(f.result(timeout=10)["ok"] for f in futures)
         assert service.flight.waiting() == 0
 
-    def test_cached_subtyping_queries_still_coalesce(self, service, monkeypatch):
-        # A subtyping session decides every query before its cache probe,
-        # so even a hit is real work worth sharing.
-        assert service.handle_sync(
-            {
-                "id": 0,
-                "op": "session/new",
-                "params": {"name": "t", "rules": CHAIN, "strategy": "subtyping"},
-            }
-        )["ok"]
-        assert service.handle_sync(json.loads(_resolve_line(1, "C8")))["ok"]
-        started = threading.Event()
-        release = threading.Event()
-        executions = []
-        original = Resolver.resolve
-
-        def gated(self, env, rho):
-            executions.append(rho)
-            started.set()
-            assert release.wait(timeout=10)
-            return original(self, env, rho)
-
-        monkeypatch.setattr(Resolver, "resolve", gated)
-        leader = service.process_line(_resolve_line(2, "C8"))
-        assert isinstance(leader, Future)
-        assert started.wait(timeout=10)
-        followers = [service.process_line(_resolve_line(3 + i, "C8")) for i in range(3)]
-        deadline = time.monotonic() + 10
-        while service.flight.waiting() < 3:
-            assert time.monotonic() < deadline, "followers never joined the flight"
-            time.sleep(0.005)
-        release.set()
-        responses = [leader.result(timeout=10)] + [
-            f.result(timeout=10) for f in followers
-        ]
-        assert all(r["ok"] for r in responses)
-        assert len(executions) == 1
-
     def test_coalescing_can_be_disabled(self):
         service = ResolutionService(workers=2, queue_depth=8, coalesce=False)
         try:

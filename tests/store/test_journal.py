@@ -130,7 +130,7 @@ class TestConfigDocs:
 
         config = SessionConfig(
             policy=OverlapPolicy.MOST_SPECIFIC,
-            strategy=ResolutionStrategy.SUBTYPING,
+            strategy=ResolutionStrategy.CORECURSIVE,
             fuel=123,
             semantics=Semantics.OPERATIONAL,
             cache_entries=9,
@@ -139,7 +139,7 @@ class TestConfigDocs:
         assert json.loads(json.dumps(doc)) == doc  # plain JSON, no objects
         restored = config_from_doc(doc)
         assert restored.policy is OverlapPolicy.MOST_SPECIFIC
-        assert restored.strategy is ResolutionStrategy.SUBTYPING
+        assert restored.strategy is ResolutionStrategy.CORECURSIVE
         assert restored.fuel == 123
         assert restored.semantics is Semantics.OPERATIONAL
         assert restored.cache_entries == 9
@@ -159,3 +159,16 @@ class TestConfigDocs:
         restored = config_from_doc(doc)
         assert restored.fuel == 64 and restored.cache_entries == 16
         assert not hasattr(restored, "use_index")
+
+    def test_old_subtyping_strategy_reads_as_syntactic(self):
+        # Journals written while ``subtyping`` was a strategy name it; the
+        # session must still restore, as the syntactic strategy it
+        # always behaved like.
+        doc = {
+            "policy": "reject",
+            "strategy": "subtyping",
+            "fuel": 64,
+            "semantics": "elaborate",
+            "cache_entries": 16,
+        }
+        assert config_from_doc(doc).strategy is ResolutionStrategy.SYNTACTIC

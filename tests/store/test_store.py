@@ -217,6 +217,27 @@ class TestCorruptionTolerance:
         assert exc.value.code == "IC0604"
 
 
+class TestOldStrategyValue:
+    """Stores written while ``subtyping`` was a strategy stay readable."""
+
+    def test_subtyping_records_verify_and_serve_as_syntactic(self, tmp_path):
+        env, query = chain_env(), top_query()
+        with DerivationStore(str(tmp_path)) as store:
+            cold = resolve_through(store, env, query)
+            payloads = [p for _, p in store.log.scan()]
+            old = [
+                p.replace(b'"s":"syntactic"', b'"s":"subtyping"') for p in payloads
+            ]
+            assert old != payloads
+            store.log.replace_all(old)
+        with DerivationStore(str(tmp_path)) as store:
+            assert store.verify()["ok"]
+            assert store.stats.store_corrupt_records == 0
+            warm = resolve_through(store, env, query)
+            assert store.stats.store_hits >= 1
+        assert derivation_signature(cold) == derivation_signature(warm)
+
+
 class TestMaintenance:
     def test_clear_drops_everything(self, tmp_path):
         env, query = chain_env(), top_query()

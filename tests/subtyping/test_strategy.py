@@ -1,48 +1,13 @@
-"""``ResolutionStrategy.SUBTYPING``: decision by subtyping, evidence by
-the syntactic engine, observable behaviour identical to ``SYNTACTIC``."""
+"""Modus-ponens subtyping outside resolution: production resolution never
+runs the decision, and the ``subtyping/check`` service op exposes it."""
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
-from repro.core import CHAR, INT, pair
-from repro.core.resolution import ResolutionStrategy, Resolver
-from repro.errors import NoMatchingRuleError
+from repro.core import INT, pair
+from repro.core.resolution import Resolver
 from repro.obs import ResolutionStats, collecting
-from repro.subtyping import conjunct_drop
-
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-
-def test_strategy_is_registered_with_the_enum():
-    assert ResolutionStrategy("subtyping") is ResolutionStrategy.SUBTYPING
-
-
-def test_subtyping_strategy_returns_the_syntactic_derivation(pair_env):
-    query = pair(INT, INT)
-    syntactic = Resolver().resolve(pair_env, query)
-    checked = Resolver(strategy=ResolutionStrategy.SUBTYPING).resolve(
-        pair_env, query
-    )
-    assert checked == syntactic
-
-
-def test_subtyping_strategy_fails_exactly_like_syntactic(pair_env):
-    resolver = Resolver(strategy=ResolutionStrategy.SUBTYPING)
-    with pytest.raises(NoMatchingRuleError):
-        resolver.resolve(pair_env, CHAR)
-
-
-def test_every_resolution_is_counted_as_a_subtyping_check(pair_env):
-    stats = ResolutionStats()
-    with collecting(stats):
-        Resolver(strategy=ResolutionStrategy.SUBTYPING).resolve(
-            pair_env, pair(INT, INT)
-        )
-    assert stats.subtyping_checks == 1
-    assert stats.subtyping_disagreements_guarded == 0
 
 
 def test_plain_syntactic_resolution_runs_no_subtyping_check(pair_env):
@@ -50,42 +15,6 @@ def test_plain_syntactic_resolution_runs_no_subtyping_check(pair_env):
     with collecting(stats):
         Resolver().resolve(pair_env, pair(INT, INT))
     assert stats.subtyping_checks == 0
-
-
-def test_forbidden_direction_is_counted_and_guarded(pair_env):
-    # Under the dropped-conjunct translation the subtyping side denies a
-    # query the syntactic engine proves: the theory-forbidden direction.
-    # The counter must fire AND the syntactic derivation must still be
-    # returned (guarded, never overridden).
-    query = pair(INT, INT)
-    stats = ResolutionStats()
-    with collecting(stats), conjunct_drop(True):
-        derivation = Resolver(strategy=ResolutionStrategy.SUBTYPING).resolve(
-            pair_env, query
-        )
-    assert derivation == Resolver().resolve(pair_env, query)
-    assert stats.subtyping_disagreements_guarded == 1
-
-
-def test_expected_over_approximation_is_not_a_disagreement(backtracking_env):
-    # Subtyping holds for Int here while the committed-choice engine is
-    # stuck -- the allowed direction, so no guarded-disagreement count.
-    stats = ResolutionStats()
-    with collecting(stats):
-        with pytest.raises(NoMatchingRuleError):
-            Resolver(strategy=ResolutionStrategy.SUBTYPING).resolve(
-                backtracking_env, INT
-            )
-    assert stats.subtyping_checks == 1
-    assert stats.subtyping_disagreements_guarded == 0
-
-
-def test_cli_accepts_the_subtyping_strategy(capsys):
-    from repro.cli import main
-
-    program = ROOT / "examples" / "programs" / "eq.impl"
-    assert main(["run", "--strategy", "subtyping", str(program)]) == 0
-    assert "(False, True)" in capsys.readouterr().out
 
 
 class TestServiceOp:
