@@ -27,14 +27,21 @@ Grammar::
 Types and schemes reuse the source-language type grammar (the two
 languages share their type syntax by construction).  Bindings without an
 annotation must be closed expressions; their rule type is inferred with
-an empty environment, as in the paper's lightened notation.
+an empty environment, as in the paper's lightened notation.  Nesting is
+capped as in the source parser (:data:`repro.source.parser.MAX_NESTING`).
 """
 
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..source.lexer import TokenStream, tokenize
-from ..source.parser import BINARY_OPERATORS, _parse_atype, _parse_scheme
+from ..source.lexer import TokenStream
+from ..source.parser import (
+    BINARY_OPERATORS,
+    _enter,
+    _parse_atype,
+    _parse_scheme,
+    token_stream,
+)
 from .prims import PRIMS
 from .terms import (
     App,
@@ -56,12 +63,10 @@ from .terms import (
 )
 from .types import RuleType, Type, rule
 
-_MAX_PRECEDENCE = 7
-
 
 def parse_core_expr(source: str) -> Expr:
     """Parse a core-calculus expression."""
-    stream = TokenStream(tokenize(source))
+    stream = token_stream(source)
     expr = _parse_expr(stream)
     if stream.current.kind != "EOF":
         raise stream.error("unexpected trailing input")
@@ -70,7 +75,7 @@ def parse_core_expr(source: str) -> Expr:
 
 def parse_core_type(source: str) -> Type:
     """Parse a core-calculus type or rule type."""
-    stream = TokenStream(tokenize(source))
+    stream = token_stream(source)
     scheme = _parse_scheme(stream)
     if stream.current.kind != "EOF":
         raise stream.error("unexpected trailing input")
@@ -79,24 +84,24 @@ def parse_core_type(source: str) -> Type:
 
 def _parse_expr(stream: TokenStream) -> Expr:
     if stream.at_symbol("\\"):
-        stream.advance()
+        _enter(stream, stream.advance())
         name = stream.eat("LIDENT").text
         stream.eat_symbol(":")
         var_type = _parse_scheme(stream)
         stream.eat_symbol(".")
         from .terms import Lam
 
-        return Lam(name, var_type, _parse_expr(stream))
-    if stream.at_keyword("if"):
-        stream.advance()
+        expr: Expr = Lam(name, var_type, _parse_expr(stream))
+    elif stream.at_keyword("if"):
+        _enter(stream, stream.advance())
         cond = _parse_expr(stream)
         stream.eat_keyword("then")
         then = _parse_expr(stream)
         stream.eat_keyword("else")
         orelse = _parse_expr(stream)
-        return If(cond, then, orelse)
-    if stream.at_keyword("implicit"):
-        stream.advance()
+        expr = If(cond, then, orelse)
+    elif stream.at_keyword("implicit"):
+        _enter(stream, stream.advance())
         stream.eat_symbol("{")
         bindings = _parse_bindings(stream)
         stream.eat_symbol("}")
@@ -105,8 +110,11 @@ def _parse_expr(stream: TokenStream) -> Expr:
         stream.eat_symbol(":")
         result_type = _parse_scheme(stream)
         context = tuple(rho for _, rho in bindings)
-        return RuleApp(RuleAbs(RuleType((), context, result_type), body), bindings)
-    return _parse_operators(stream, 1)
+        expr = RuleApp(RuleAbs(RuleType((), context, result_type), body), bindings)
+    else:
+        return _parse_operators(stream, 1)
+    stream.depth -= 1
+    return expr
 
 
 def _parse_bindings(stream: TokenStream) -> tuple[tuple[Expr, Type], ...]:
@@ -138,17 +146,16 @@ def _infer_closed(expr: Expr, stream: TokenStream) -> Type:
 
 
 def _parse_operators(stream: TokenStream, min_precedence: int) -> Expr:
-    if min_precedence >= _MAX_PRECEDENCE:
-        return _parse_with(stream)
-    left = _parse_operators(stream, min_precedence + 1)
-    while stream.current.kind == "SYMBOL":
-        spec = BINARY_OPERATORS.get(stream.current.text)
-        if spec is None or spec[1] != min_precedence:
-            break
+    """Precedence climbing, as in the source parser."""
+    left = _parse_with(stream)
+    while True:
+        token = stream.current
+        spec = BINARY_OPERATORS.get(token.text) if token.kind == "SYMBOL" else None
+        if spec is None or spec[1] < min_precedence:
+            return left
         stream.advance()
-        right = _parse_operators(stream, min_precedence + 1)
+        right = _parse_operators(stream, spec[1] + 1)
         left = App(App(Prim(spec[0]), left), right)
-    return left
 
 
 def _parse_with(stream: TokenStream) -> Expr:
@@ -228,12 +235,13 @@ def _parse_atom(stream: TokenStream) -> Expr:
         stream.advance()
         return BoolLit(False)
     if stream.at_keyword("rule"):
-        stream.advance()
+        _enter(stream, stream.advance())
         stream.eat_symbol("(")
         rho = _parse_scheme(stream)
         stream.eat_symbol(",")
         body = _parse_expr(stream)
         stream.eat_symbol(")")
+        stream.depth -= 1
         return RuleAbs(rho, body)
     if token.kind == "LIDENT":
         stream.advance()
@@ -251,15 +259,14 @@ def _parse_atom(stream: TokenStream) -> Expr:
         return Query(_parse_atype(stream))
     if token.kind == "UIDENT":
         return _parse_record(stream)
-    if stream.try_symbol("("):
-        first = _parse_expr(stream)
+    if stream.at_symbol("("):
+        _enter(stream, stream.advance())
+        expr = _parse_expr(stream)
         if stream.try_symbol(","):
-            second = _parse_expr(stream)
-            stream.eat_symbol(")")
-            return PairE(first, second)
+            expr = PairE(expr, _parse_expr(stream))
         stream.eat_symbol(")")
-        return first
-    if stream.try_symbol("["):
+    elif stream.at_symbol("["):
+        _enter(stream, stream.advance())
         elems: list[Expr] = []
         if not stream.at_symbol("]"):
             while True:
@@ -267,8 +274,11 @@ def _parse_atom(stream: TokenStream) -> Expr:
                 if not stream.try_symbol(","):
                     break
         stream.eat_symbol("]")
-        return ListLit(tuple(elems))
-    raise stream.error("expected a core expression")
+        expr = ListLit(tuple(elems))
+    else:
+        raise stream.error("expected a core expression")
+    stream.depth -= 1
+    return expr
 
 
 def _parse_record(stream: TokenStream) -> Expr:
@@ -280,7 +290,7 @@ def _parse_record(stream: TokenStream) -> Expr:
             if not stream.try_symbol(","):
                 break
         stream.eat_symbol("]")
-    stream.eat_symbol("{")
+    _enter(stream, stream.eat_symbol("{"))
     fields: list[tuple[str, Expr]] = []
     while True:
         name = stream.eat("LIDENT").text
@@ -289,4 +299,5 @@ def _parse_record(stream: TokenStream) -> Expr:
         if not stream.try_symbol(","):
             break
     stream.eat_symbol("}")
+    stream.depth -= 1
     return Record(iface, tuple(type_args), tuple(fields))

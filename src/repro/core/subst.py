@@ -10,7 +10,8 @@ assumes binders are "renamed apart", which freshening realises.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+import operator
+from typing import Callable, Iterable, Mapping
 
 from .terms import (
     App,
@@ -184,3 +185,58 @@ def subst_expr(theta: Subst, e: Expr) -> Expr:
         case Project(expr, field):
             return Project(subst_expr(theta, expr), field)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def map_types(f: Callable[[Type], Type], e: Expr) -> Expr:
+    """Apply ``f`` to every type annotation inside ``e``, verbatim.
+
+    Unlike :func:`subst_expr` nothing is renamed under a rule binder, so
+    ``f`` sees each annotation exactly as written.  A node all of whose
+    parts come back as the same objects is returned itself, not rebuilt.
+    """
+
+    def ex(x: Expr) -> Expr:
+        match x:
+            case App(fn, arg):
+                new: tuple = (ex(fn), ex(arg))
+            case Lam(var, var_type, body):
+                new = (var, f(var_type), ex(body))
+            case TyApp(expr, type_args):
+                new = (ex(expr), _map(f, type_args))
+            case Query(rho):
+                new = (f(rho),)
+            case RuleAbs(rho, body):
+                new = (f(rho), ex(body))
+            case RuleApp(expr, args):
+                new = (ex(expr), _map_pairs(ex, f, args))
+            case If(cond, then, orelse):
+                new = (ex(cond), ex(then), ex(orelse))
+            case PairE(first, second):
+                new = (ex(first), ex(second))
+            case ListLit(elems, elem_type):
+                new = (_map(ex, elems), None if elem_type is None else f(elem_type))
+            case Record(iface, type_args, fields):
+                # str(name) is name: field names are kept as they are.
+                new = (iface, _map(f, type_args), _map_pairs(str, ex, fields))
+            case Project(expr, field):
+                new = (ex(expr), field)
+            case _:  # a variable, primitive or literal
+                return x
+        for name, value in zip(x.__match_args__, new):  # type: ignore[attr-defined]
+            if getattr(x, name) is not value:
+                return type(x)(*new)
+        return x
+
+    return ex(e)
+
+
+def _map(f: Callable, items: tuple) -> tuple:
+    new = tuple(map(f, items))
+    return items if all(map(operator.is_, new, items)) else new
+
+
+def _map_pairs(f: Callable, g: Callable, pairs: tuple) -> tuple:
+    new = tuple((f(a), g(b)) for a, b in pairs)
+    if all(a is c and b is d for (a, b), (c, d) in zip(pairs, new)):
+        return pairs
+    return new

@@ -63,8 +63,9 @@ class Type:
 
     Instances are immutable, interned and carry cached structural
     metadata in slots (``_hash``, ``_ftv``, ``_size``, ``_key``, plus the
-    lazily printed ``_str``); there is no instance ``__dict__``, so
-    attribute injection is impossible.
+    lazily printed ``_str`` and the lazily translated System F image
+    ``_ftype``, see :func:`repro.elaborate.types.translate_type`); there
+    is no instance ``__dict__``, so attribute injection is impossible.
     """
 
     __slots__ = ()
@@ -93,7 +94,9 @@ class Type:
 class TVar(Type):
     """A type variable ``alpha``."""
 
-    __slots__ = ("name", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__")
+    __slots__ = (
+        "name", "_hash", "_ftv", "_size", "_key", "_str", "_ftype", "__weakref__",
+    )
     __match_args__ = ("name",)
 
     name: str
@@ -139,7 +142,8 @@ class TCon(Type):
     """
 
     __slots__ = (
-        "name", "args", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__",
+        "name", "args",
+        "_hash", "_ftv", "_size", "_key", "_str", "_ftype", "__weakref__",
     )
     __match_args__ = ("name", "args")
 
@@ -194,7 +198,9 @@ class TCon(Type):
 class TFun(Type):
     """A function type ``tau1 -> tau2``."""
 
-    __slots__ = ("arg", "res", "_hash", "_ftv", "_size", "_key", "_str", "__weakref__")
+    __slots__ = (
+        "arg", "res", "_hash", "_ftv", "_size", "_key", "_str", "_ftype", "__weakref__",
+    )
     __match_args__ = ("arg", "res")
 
     arg: Type
@@ -252,7 +258,7 @@ class RuleType(Type):
 
     __slots__ = (
         "tvars", "context", "head",
-        "_hash", "_ftv", "_size", "_key", "_str", "__weakref__",
+        "_hash", "_ftv", "_size", "_key", "_str", "_ftype", "__weakref__",
     )
     __match_args__ = ()
 

@@ -24,21 +24,33 @@ from ..systemf.typecheck import FInterface, FSignature
 
 
 def translate_type(tau: Type) -> FType:
-    """``|tau|`` -- the System F image of a lambda_=> type."""
+    """``|tau|`` -- the System F image of a lambda_=> type.
+
+    Memoized on the hash-consed ``tau`` itself (its ``_ftype`` slot), so
+    each distinct type is translated once and every use of it shares one
+    System F object.
+    """
+    try:
+        return tau._ftype  # type: ignore[attr-defined]
+    except AttributeError:  # first translation of this node; the slot is unset
+        pass
     match tau:
         case TVar(name):
-            return FTVar(name)
+            out: FType = FTVar(name)
         case TCon(name, args):
-            return FTCon(name, tuple(translate_type(a) for a in args))
+            out = FTCon(name, tuple(translate_type(a) for a in args))
         case TFun(arg, res):
-            return FTFun(translate_type(arg), translate_type(res))
+            out = FTFun(translate_type(arg), translate_type(res))
         case RuleType():
             body = f_fun(
                 *(translate_type(rho) for rho in tau.context),
                 translate_type(tau.head),
             )
-            return f_forall(tau.tvars, body)
-    raise TypeError(f"not a Type: {tau!r}")
+            out = f_forall(tau.tvars, body)
+        case _:
+            raise TypeError(f"not a Type: {tau!r}")
+    object.__setattr__(tau, "_ftype", out)
+    return out
 
 
 def translate_interface(decl: InterfaceDecl) -> FInterface:

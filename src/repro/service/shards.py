@@ -235,20 +235,33 @@ class ShardProcess:
         self.process.kill()
         self.process.wait(timeout=10)
         self._reader.join(timeout=10)
+        self._close_pipes()
 
     def stop(self, timeout: float = 10.0) -> None:
         """Close stdin (the worker drains and exits 0) and reap."""
-        try:
-            if self.process.stdin is not None:
-                self.process.stdin.close()
-        except OSError:
-            pass
+        self._close(self.process.stdin)
         try:
             self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
             self.process.kill()
             self.process.wait(timeout=10)
         self._reader.join(timeout=10)
+        self._close_pipes()
+
+    def _close_pipes(self) -> None:
+        """Close both pipes of a reaped worker.  Stdout is closed only once
+        the reader thread has exited, so the close cannot race its read."""
+        self._close(self.process.stdin)
+        if not self._reader.is_alive():
+            self._close(self.process.stdout)
+
+    @staticmethod
+    def _close(pipe: Any) -> None:
+        try:
+            if pipe is not None:
+                pipe.close()
+        except OSError:  # flushing stdin into a dead worker
+            pass
 
 
 class _SessionRecord:

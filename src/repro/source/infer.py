@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..core.builders import let_
-from ..core.subst import subst_expr, subst_type
+from ..core.subst import map_types, subst_type
 from ..core.terms import (
     App,
     BoolLit,
@@ -92,6 +92,12 @@ from .prelude import Binding, Origin, prelude
 _META_PREFIX = "?m"
 
 
+_AMBIGUOUS = (
+    "ambiguous program: a type could not be inferred "
+    "(add an annotation or use the value monomorphically)"
+)
+
+
 def _is_meta(name: str) -> bool:
     return name.startswith("?")
 
@@ -120,12 +126,9 @@ class SourceInferencer:
         return TVar(f"{_META_PREFIX}{next(self._counter)}")
 
     def _walk(self, tau: Type) -> Type:
-        while (
-            isinstance(tau, TVar)
-            and _is_meta(tau.name)
-            and tau.name in self._solutions
-        ):
-            tau = self._solutions[tau.name]
+        solutions = self._solutions  # keyed by metavariable names only
+        while isinstance(tau, TVar) and tau.name in solutions:
+            tau = solutions[tau.name]
         return tau
 
     def zonk(self, tau: Type, *, strict: bool = False) -> Type:
@@ -133,17 +136,15 @@ class SourceInferencer:
 
         With ``strict=True`` an unsolved metavariable is an ambiguity
         error (the program's behaviour would depend on an arbitrary
-        instantiation).
+        instantiation).  A type with no solved metavariable in its cached
+        free-variable set is returned as it is.
         """
         tau = self._walk(tau)
+        if self._solutions.keys().isdisjoint(tau._ftv):
+            if strict and any(_is_meta(name) for name in tau._ftv):
+                raise SourceTypeError(_AMBIGUOUS)
+            return tau
         match tau:
-            case TVar(name):
-                if strict and _is_meta(name):
-                    raise SourceTypeError(
-                        "ambiguous program: a type could not be inferred "
-                        "(add an annotation or use the value monomorphically)"
-                    )
-                return tau
             case TCon(name, args):
                 return TCon(name, tuple(self.zonk(a, strict=strict) for a in args))
             case TFun(arg, res):
@@ -174,7 +175,7 @@ class SourceInferencer:
     def unify(self, t1: Type, t2: Type, where: str) -> None:
         t1 = self._walk(t1)
         t2 = self._walk(t2)
-        if isinstance(t1, TVar) and isinstance(t2, TVar) and t1.name == t2.name:
+        if t1 is t2:  # interned: one object per simple type
             return
         if isinstance(t1, TVar) and _is_meta(t1.name):
             if self._occurs(t1.name, t2):
@@ -441,13 +442,12 @@ class SourceInferencer:
         deliberately does NOT use the capture-avoiding
         :func:`repro.core.subst.subst_expr`: metavariable names (``?m*``)
         are never bound by any binder, making verbatim replacement sound.
+
+        A node whose types mention no solved metavariable is returned
+        unchanged, not rebuilt; an unsolved metavariable anywhere makes
+        the program ambiguous.
         """
-        resolved = {
-            name: self.zonk(TVar(name), strict=False) for name in self._solutions
-        }
-        out = _raw_subst_expr(resolved, e)
-        _assert_no_metas(out)
-        return out
+        return map_types(lambda tau: self.zonk(tau, strict=True), e)
 
 
 def _query_types(e: Expr) -> list[Type]:
@@ -466,68 +466,6 @@ def _query_types(e: Expr) -> list[Type]:
 
     walk(e)
     return out
-
-
-def _raw_subst_type(mapping: dict[str, Type], tau: Type) -> Type:
-    """Verbatim substitution of metavariables (no binder freshening)."""
-    match tau:
-        case TVar(name):
-            return mapping.get(name, tau)
-        case TCon(name, args):
-            return TCon(name, tuple(_raw_subst_type(mapping, a) for a in args))
-        case TFun(arg, res):
-            return TFun(_raw_subst_type(mapping, arg), _raw_subst_type(mapping, res))
-        case RuleType():
-            return RuleType(
-                tau.tvars,
-                tuple(_raw_subst_type(mapping, r) for r in tau.context),
-                _raw_subst_type(mapping, tau.head),
-            )
-    raise TypeError(f"not a Type: {tau!r}")
-
-
-def _raw_subst_expr(mapping: dict[str, Type], e: Expr) -> Expr:
-    """Verbatim substitution of metavariables throughout an expression."""
-    from ..core.terms import Expr as _Expr
-
-    def on(x: object) -> object:
-        if isinstance(x, Type):
-            return _raw_subst_type(mapping, x)
-        if isinstance(x, _Expr):
-            fields = {
-                name: on(getattr(x, name))
-                for name in x.__dataclass_fields__  # type: ignore[attr-defined]
-            }
-            return type(x)(**fields)
-        if isinstance(x, tuple):
-            return tuple(on(item) for item in x)
-        return x
-
-    return on(e)  # type: ignore[return-value]
-
-
-def _assert_no_metas(e: Expr) -> None:
-    from ..core.terms import Expr as _Expr
-
-    def check_type(tau: Type) -> None:
-        for name in ftv(tau):
-            if _is_meta(name):
-                raise SourceTypeError(
-                    "ambiguous program: a type could not be inferred "
-                    "(add an annotation or use the value monomorphically)"
-                )
-
-    def walk(x: object) -> None:
-        if isinstance(x, Type):
-            check_type(x)
-        elif isinstance(x, _Expr):
-            for attr in x.__dataclass_fields__:  # type: ignore[attr-defined]
-                walk(getattr(x, attr))
-        elif isinstance(x, tuple):
-            for item in x:
-                walk(item)
-
-    walk(e)
 
 
 def selector_bindings(signature: Signature) -> list[tuple[str, Type, Expr]]:

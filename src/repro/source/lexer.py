@@ -1,8 +1,8 @@
-"""A small hand-written lexer shared by the source and core parsers.
+"""The lexer shared by the source and core parsers: one compiled regex.
 
 Token kinds:
 
-* ``INT``, ``STRING`` -- literals;
+* ``INT``, ``STRING`` -- literals (``INT`` is ASCII ``[0-9]+`` only);
 * ``LIDENT``/``UIDENT`` -- lower/upper-case identifiers (type variables
   and term variables vs. constructors and interfaces);
 * ``KEYWORD`` -- reserved words;
@@ -15,7 +15,7 @@ listings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..errors import LexError, ParseError
 from ..span import Span
@@ -66,92 +66,97 @@ SYMBOLS = (
     "#",
 )
 
+#: One alternative per lexeme class, tried in order.  ``word`` starts with
+#: any word character but a decimal digit; :func:`tokenize` refuses the
+#: non-letters that admits (``²``, ``½``), so an identifier starts with
+#: ``str.isalpha()`` or ``_`` and continues with ``str.isalnum()``,
+#: ``_`` or ``'``.  ``bad`` catches every other character.
+_LEXEME = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>--[^\n]*)"
+    r"|(?P<INT>[0-9]+)"
+    r'|(?P<STRING>"(?:[^"\\]|\\.)*")'
+    r"|(?P<word>[^\W\d][\w']*)"
+    f"|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
-@dataclass(frozen=True)
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
 class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    """One lexeme: its kind, text (a string literal's decoded value) and
+    1-based start position."""
+
+    __slots__ = ("kind", "text", "line", "column", "_span")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+        self._span: Span | None = None
 
     def __repr__(self) -> str:
         return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
     def span(self) -> Span:
-        """The source range this token covers (single-line tokens only,
-        which is every token this lexer produces -- string literals may
-        *contain* escaped newlines but never raw ones)."""
-        return Span.point(self.line, self.column, max(len(self.text), 1))
+        """The source range this token covers (its start line only: a
+        string literal with a raw newline still counts as one line)."""
+        span = self._span
+        if span is None:
+            line, column = self.line, self.column
+            span = self._span = Span(line, column, line, column + max(len(self.text), 1))
+        return span
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    # Only a newline token starts a line: after a string literal with a
+    # raw newline inside, columns count on from the literal's line.
+    line, line_start, comment_start = 1, 0, -1
+    for match in _LEXEME.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "newline":
             line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", source[start:i], line, column))
-            column += i - start
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    escape = source[i + 1]
-                    chunks.append({"n": "\n", "t": "\t"}.get(escape, escape))
-                    i += 2
-                else:
-                    chunks.append(source[i])
-                    i += 1
-            if i >= n:
-                raise LexError("unterminated string literal", line, column)
-            i += 1
-            tokens.append(Token("STRING", "".join(chunks), line, column))
-            column += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] in "_'"):
-                i += 1
-            text = source[start:i]
+            line_start = start + 1
+        elif kind == "word":
+            text = match.group()
+            first = text[0]
             if text in KEYWORDS:
-                kind = "KEYWORD"
-            elif text[0].isupper():
-                kind = "UIDENT"
+                append(Token("KEYWORD", text, line, column))
+            elif first.isalpha() or first == "_":
+                append(Token("UIDENT" if first.isupper() else "LIDENT", text, line, column))
             else:
-                kind = "LIDENT"
-            tokens.append(Token(kind, text, line, column))
-            column += i - start
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, i):
-                tokens.append(Token("SYMBOL", symbol, line, column))
-                i += len(symbol)
-                column += len(symbol)
-                break
+                raise LexError(f"unexpected character {first!r}", line, column)
+        elif kind == "STRING":
+            text = match.group()[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            append(Token("STRING", text, line, column))
+        elif kind == "comment":
+            comment_start = start
+        elif kind == "bad":
+            char = match.group()
+            if char == '"':
+                raise LexError("unterminated string literal", line, column)
+            raise LexError(f"unexpected character {char!r}", line, column)
         else:
-            raise LexError(f"unexpected character {ch!r}", line, column)
-    tokens.append(Token("EOF", "", line, column))
+            append(Token(kind, match.group(), line, column))
+    # A comment on the last line does not advance EOF past its start.
+    end = comment_start if comment_start >= line_start else len(source)
+    append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -161,15 +166,11 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    @property
-    def last(self) -> Token:
-        """The most recently consumed token (for building end positions)."""
-        return self._tokens[max(self._pos - 1, 0)]
+        self.current = tokens[0]
+        #: The most recently consumed token (for building end positions).
+        self.last = tokens[0]
+        #: Open nesting levels (capped by ``repro.source.parser.MAX_NESTING``).
+        self.depth = 0
 
     def span_from(self, start: Token) -> Span:
         """Span covering ``start`` through the last consumed token."""
@@ -183,6 +184,8 @@ class TokenStream:
         token = self.current
         if token.kind != "EOF":
             self._pos += 1
+            self.current = self._tokens[self._pos]
+            self.last = token
         return token
 
     def at_symbol(self, *texts: str) -> bool:

@@ -25,12 +25,22 @@ Concrete syntax (after Fig. 3 of the paper, in ASCII)::
                  | '(' expr ')' | '(' expr ',' expr ')' | '[' expr,* ']'
                  | UIdent '{' lident '=' expr, ... '}'       (interface impl)
 
-Binary operators desugar to prelude primitives (``+`` to ``add``, ``==``
+Binary operators are parsed by one precedence-climbing loop and desugar
+to prelude primitives (``+`` to ``add``, ``==``
 to ``primEqInt``, ``++`` to ``concat``, ...); they are ordinary functions
 and can be shadowed by ``let``.  Comments are ``-- ...``.
+
+Nesting is capped: every bracket, parenthesis, record or context brace,
+lambda, ``let``, ``implicit`` and ``if`` opens one level, and more than
+:data:`MAX_NESTING` open levels is a parse error (IC0102) at the opening
+token, not a ``RecursionError`` in some later stage.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import partial
+from typing import Callable
 
 from ..core.terms import InterfaceDecl
 from ..core.types import TCon, TFun, TVar, Type, list_of, pair, rule
@@ -54,7 +64,7 @@ from .ast import (
     SVar,
     with_span,
 )
-from .lexer import TokenStream, tokenize
+from .lexer import Token, TokenStream, tokenize
 
 #: operator -> (prelude function, precedence).  Higher binds tighter.
 BINARY_OPERATORS: dict[str, tuple[str, int]] = {
@@ -69,7 +79,37 @@ BINARY_OPERATORS: dict[str, tuple[str, int]] = {
     "*": ("mul", 6),
 }
 
-_MAX_PRECEDENCE = 7
+#: Deepest syntactic nesting accepted (docs/DIAGNOSTICS.md, IC0102).
+#: Large enough for every program the recursive stages can run at the
+#: interpreter's default recursion limit (up to 493 nested ``if``s), and
+#: small enough that every program at the cap runs end to end.
+MAX_NESTING = 512
+#: Each nesting level costs a handful of Python frames in each later
+#: stage (at most 5, for parentheses); make sure the cap fires before the
+#: interpreter's recursion limit does.  This is the limit
+#: ``Resolver.resolve`` sets for its default fuel (also 512), so the two
+#: never move it back and forth.
+_RECURSION_LIMIT = MAX_NESTING * 12 + 1000
+
+
+def token_stream(source: str) -> TokenStream:
+    """Tokenize ``source`` for either parser (raising the recursion limit
+    to cover :data:`MAX_NESTING`)."""
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+    return TokenStream(tokenize(source))
+
+
+def _enter(stream: TokenStream, opener: Token) -> None:
+    """Open one nesting level at ``opener`` (closed by ``depth -= 1``)."""
+    stream.depth += 1
+    if stream.depth > MAX_NESTING:
+        raise ParseError(
+            f"nesting deeper than {MAX_NESTING} levels",
+            opener.line,
+            opener.column,
+            span=opener.span(),
+        )
 
 
 def parse_program(source: str) -> SProgram:
@@ -84,7 +124,7 @@ def parse_program(source: str) -> SProgram:
 
     parses as ``let inc : Int -> Int = \\n . n + 1 in inc 41``.
     """
-    stream = TokenStream(tokenize(source))
+    stream = token_stream(source)
     interfaces: list[InterfaceDecl] = []
     while stream.at_keyword("interface"):
         interfaces.append(_parse_interface(stream))
@@ -119,7 +159,7 @@ def _parse_definition(
 
 def parse_expr(source: str) -> SExpr:
     """Parse a bare source expression (no interface declarations)."""
-    stream = TokenStream(tokenize(source))
+    stream = token_stream(source)
     body = _parse_expr(stream)
     if stream.current.kind != "EOF":
         raise stream.error("unexpected trailing input")
@@ -128,7 +168,7 @@ def parse_expr(source: str) -> SExpr:
 
 def parse_scheme(source: str) -> Type:
     """Parse a type scheme (used by tests and the REPL helpers)."""
-    stream = TokenStream(tokenize(source))
+    stream = token_stream(source)
     scheme = _parse_scheme(stream)
     if stream.current.kind != "EOF":
         raise stream.error("unexpected trailing input")
@@ -185,7 +225,7 @@ def _parse_scheme(stream: TokenStream) -> Type:
         stream.eat_symbol(".")
     context: list[Type] = []
     if stream.at_symbol("{") and _brace_is_context(stream):
-        stream.eat_symbol("{")
+        _enter(stream, stream.advance())
         if not stream.at_symbol("}"):
             while True:
                 context.append(_parse_scheme(stream))
@@ -193,6 +233,7 @@ def _parse_scheme(stream: TokenStream) -> Type:
                     break
         stream.eat_symbol("}")
         stream.eat_symbol("=>")
+        stream.depth -= 1
     body = _parse_type(stream)
     return rule(body, tuple(context), tuple(tvars))
 
@@ -216,10 +257,13 @@ def _brace_is_context(stream: TokenStream) -> bool:
 
 
 def _parse_type(stream: TokenStream) -> Type:
-    left = _parse_btype(stream)
-    if stream.try_symbol("->"):
-        return TFun(left, _parse_type(stream))
-    return left
+    parts = [_parse_btype(stream)]
+    while stream.try_symbol("->"):
+        parts.append(_parse_btype(stream))
+    result = parts.pop()
+    while parts:
+        result = TFun(parts.pop(), result)
+    return result
 
 
 def _parse_btype(stream: TokenStream) -> Type:
@@ -247,19 +291,20 @@ def _parse_atype(stream: TokenStream) -> Type:
     if token.kind == "LIDENT":
         stream.advance()
         return TVar(token.text)
-    if stream.try_symbol("["):
-        inner = _parse_type(stream)
+    if stream.at_symbol("["):
+        _enter(stream, stream.advance())
+        inner = list_of(_parse_type(stream))
         stream.eat_symbol("]")
-        return list_of(inner)
-    if stream.try_symbol("("):
-        first = _parse_scheme(stream)
+    elif stream.at_symbol("("):
+        _enter(stream, stream.advance())
+        inner = _parse_scheme(stream)
         if stream.try_symbol(","):
-            second = _parse_type(stream)
-            stream.eat_symbol(")")
-            return pair(first, second)
+            inner = pair(inner, _parse_type(stream))
         stream.eat_symbol(")")
-        return first
-    raise stream.error("expected a type")
+    else:
+        raise stream.error("expected a type")
+    stream.depth -= 1
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -268,92 +313,88 @@ def _parse_atype(stream: TokenStream) -> Type:
 
 
 def _parse_expr(stream: TokenStream) -> SExpr:
-    start = stream.current
-    if stream.at_keyword("let"):
-        stream.advance()
-        name = stream.eat("LIDENT").text
-        scheme = None
-        scheme_span = None
-        if stream.try_symbol(":"):
-            scheme_start = stream.current
-            scheme = _parse_scheme(stream)
-            scheme_span = stream.span_from(scheme_start)
-        stream.eat_symbol("=")
-        bound = _parse_expr(stream)
-        stream.eat_keyword("in")
-        body = _parse_expr(stream)
-        return SLet(
-            name,
-            scheme,
-            bound,
-            body,
-            span=stream.span_from(start),
-            scheme_span=scheme_span,
-        )
-    if stream.at_keyword("implicit"):
-        stream.advance()
-        names: list[str] = []
-        name_spans: list[Span] = []
-
-        def eat_name() -> None:
-            token = stream.eat("LIDENT")
-            names.append(token.text)
-            name_spans.append(token.span())
-
-        if stream.try_symbol("{"):
+    # A right-nested chain of binders (``\\x . let y = e in implicit z in
+    # ...``) is parsed in this loop; each binder is then wrapped round the
+    # body, and every binder's span ends where the body does.
+    binders: list[tuple[Token, Callable[..., SExpr]]] = []
+    while True:
+        start = stream.current
+        if start.kind == "KEYWORD" and start.text == "let":
+            _enter(stream, stream.advance())
+            name = stream.eat("LIDENT").text
+            scheme = None
+            scheme_span = None
+            if stream.try_symbol(":"):
+                scheme_start = stream.current
+                scheme = _parse_scheme(stream)
+                scheme_span = stream.span_from(scheme_start)
+            stream.eat_symbol("=")
+            bound = _parse_expr(stream)
+            stream.eat_keyword("in")
+            wrap = partial(SLet, name, scheme, bound, scheme_span=scheme_span)
+        elif start.kind == "KEYWORD" and start.text == "implicit":
+            _enter(stream, stream.advance())
+            names: list[str] = []
+            name_spans: list[Span] = []
+            braced = stream.try_symbol("{")
             while True:
-                eat_name()
-                if not stream.try_symbol(","):
+                token = stream.eat("LIDENT")
+                names.append(token.text)
+                name_spans.append(token.span())
+                if not (braced and stream.try_symbol(",")):
                     break
-            stream.eat_symbol("}")
+            if braced:
+                stream.eat_symbol("}")
+            stream.eat_keyword("in")
+            wrap = partial(SImplicit, tuple(names), name_spans=tuple(name_spans))
+        elif start.kind == "SYMBOL" and start.text == "\\":
+            _enter(stream, stream.advance())
+            params: list[str] = [stream.eat("LIDENT").text]
+            while stream.current.kind == "LIDENT":
+                params.append(stream.advance().text)
+            stream.eat_symbol(".")
+            wrap = partial(SLam, tuple(params))
         else:
-            eat_name()
-        stream.eat_keyword("in")
-        body = _parse_expr(stream)
-        return SImplicit(
-            tuple(names),
-            body,
-            span=stream.span_from(start),
-            name_spans=tuple(name_spans),
-        )
-    if stream.at_symbol("\\"):
-        stream.advance()
-        params: list[str] = [stream.eat("LIDENT").text]
-        while stream.current.kind == "LIDENT":
-            params.append(stream.advance().text)
-        stream.eat_symbol(".")
-        body = _parse_expr(stream)
-        return SLam(tuple(params), body, span=stream.span_from(start))
-    if stream.at_keyword("if"):
-        stream.advance()
+            break
+        binders.append((start, wrap))
+    # ``start`` is now the body's first token.
+    if start.kind == "KEYWORD" and start.text == "if":
+        _enter(stream, stream.advance())
         cond = _parse_expr(stream)
         stream.eat_keyword("then")
         then = _parse_expr(stream)
         stream.eat_keyword("else")
         orelse = _parse_expr(stream)
-        return SIf(cond, then, orelse, span=stream.span_from(start))
-    return _parse_operators(stream, 1)
+        body = SIf(cond, then, orelse, span=stream.span_from(start))
+        stream.depth -= 1
+    else:
+        body = _parse_operators(stream, 1)
+    if binders:
+        end = stream.last.span()
+        for start, wrap in reversed(binders):
+            body = wrap(body, span=start.span().merge(end))
+        stream.depth -= len(binders)
+    return body
 
 
 def _parse_operators(stream: TokenStream, min_precedence: int) -> SExpr:
-    if min_precedence >= _MAX_PRECEDENCE:
-        return _parse_application(stream)
+    """Precedence climbing: operators binding at least ``min_precedence``
+    (all binary operators are left-associative)."""
     start = stream.current
-    left = _parse_operators(stream, min_precedence + 1)
-    while stream.current.kind == "SYMBOL":
-        op = stream.current.text
-        spec = BINARY_OPERATORS.get(op)
-        if spec is None or spec[1] != min_precedence:
-            break
-        op_span = stream.current.span()
+    left = _parse_application(stream)
+    while True:
+        token = stream.current
+        spec = BINARY_OPERATORS.get(token.text) if token.kind == "SYMBOL" else None
+        if spec is None or spec[1] < min_precedence:
+            return left
         stream.advance()
-        right = _parse_operators(stream, min_precedence + 1)
+        op_span = token.span()
+        right = _parse_operators(stream, spec[1] + 1)
         left = SApp(
             with_span(SApp(with_span(SVar(spec[0]), op_span), left), op_span),
             right,
             span=stream.span_from(start),
         )
-    return left
 
 
 def _parse_application(stream: TokenStream) -> SExpr:
@@ -394,15 +435,17 @@ def _parse_atom(stream: TokenStream) -> SExpr:
         return _parse_record(stream)
     if stream.try_symbol("?"):
         return SQuery(span=token.span())
-    if stream.try_symbol("("):
-        first = _parse_expr(stream)
+    if stream.at_symbol("("):
+        _enter(stream, stream.advance())
+        expr = _parse_expr(stream)
         if stream.try_symbol(","):
             second = _parse_expr(stream)
             stream.eat_symbol(")")
-            return SPair(first, second, span=stream.span_from(token))
-        stream.eat_symbol(")")
-        return first
-    if stream.try_symbol("["):
+            expr = SPair(expr, second, span=stream.span_from(token))
+        else:
+            stream.eat_symbol(")")
+    elif stream.at_symbol("["):
+        _enter(stream, stream.advance())
         elems: list[SExpr] = []
         if not stream.at_symbol("]"):
             while True:
@@ -410,14 +453,17 @@ def _parse_atom(stream: TokenStream) -> SExpr:
                 if not stream.try_symbol(","):
                     break
         stream.eat_symbol("]")
-        return SList(tuple(elems), span=stream.span_from(token))
-    raise stream.error("expected an expression")
+        expr = SList(tuple(elems), span=stream.span_from(token))
+    else:
+        raise stream.error("expected an expression")
+    stream.depth -= 1
+    return expr
 
 
 def _parse_record(stream: TokenStream) -> SExpr:
     start = stream.current
     iface = stream.eat("UIDENT").text
-    stream.eat_symbol("{")
+    _enter(stream, stream.eat_symbol("{"))
     fields: list[tuple[str, SExpr]] = []
     while True:
         name = stream.eat("LIDENT").text
@@ -426,4 +472,5 @@ def _parse_record(stream: TokenStream) -> SExpr:
         if not stream.try_symbol(","):
             break
     stream.eat_symbol("}")
+    stream.depth -= 1
     return SRecord(iface, tuple(fields), span=stream.span_from(start))

@@ -118,7 +118,7 @@ def ftype_key(t: FType, bound: dict[str, int]) -> tuple:
 
 def ftypes_eq(a: FType, b: FType) -> bool:
     """Alpha-equivalence of System F types."""
-    return ftype_key(a, {}) == ftype_key(b, {})
+    return a is b or ftype_key(a, {}) == ftype_key(b, {})
 
 
 def ftype_ftv(t: FType) -> frozenset[str]:

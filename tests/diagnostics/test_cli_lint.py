@@ -97,3 +97,21 @@ class TestLintCli:
         assert main(["lint", str(path)]) == 1
         capsys.readouterr()
         assert main(["lint", str(path), "--most-specific"]) == 0
+
+
+class TestLintGolden:
+    """``repro lint examples/programs/*.impl --format json`` is pinned
+    byte for byte, so a shifted span or reworded message in any stage
+    from the lexer on shows up as a diff (CI's "Lint smoke" step runs
+    the same comparison through the installed entry point)."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden" / "lint_examples.json"
+
+    def test_examples_match_golden(self, capsys, monkeypatch):
+        root = BROKEN.parents[2]
+        monkeypatch.chdir(root)
+        paths = sorted(
+            str(p.relative_to(root)) for p in (root / "examples" / "programs").glob("*.impl")
+        )
+        assert main(["lint", *paths, "--format", "json"]) == 1
+        assert capsys.readouterr().out == self.GOLDEN.read_text(encoding="utf-8")

@@ -72,6 +72,15 @@ class TestTypeTranslation:
         r2 = rule(INT, [STRING, BOOL])
         assert translate_type(r1) == translate_type(r2)
 
+    def test_translation_is_memoized_per_interned_type(self):
+        # |.| runs once per hash-consed type; its uses share one image,
+        # which ftypes_eq recognises by identity.
+        rho = rule(pair(A, INT), [TFun(A, BOOL)], ["a"])
+        image = translate_type(rho)
+        assert translate_type(rule(pair(A, INT), [TFun(A, BOOL)], ["a"])) is image
+        assert translate_type(pair(A, INT)) is translate_type(pair(A, INT))
+        assert ftypes_eq(image, image)
+
     def test_signature_translation(self):
         sig = Signature(
             [InterfaceDecl("Eq", ("a",), (("eq", TFun(A, TFun(A, BOOL))),))]

@@ -154,6 +154,14 @@ class TestCrashRestart:
         finally:
             sup.shutdown()
 
+    def test_stopped_and_killed_workers_release_both_pipes(self):
+        sup = ShardSupervisor(workers=2, threads=2, queue_depth=32)
+        killed, stopped = sup._shards[0], sup._shards[1]
+        sup.kill_worker(0)
+        sup.shutdown()
+        for shard in (killed, stopped):
+            assert shard.process.stdin.closed and shard.process.stdout.closed
+
     def test_check_health_restarts_dead_workers(self, supervisor):
         supervisor.kill_worker(0)
         supervisor.kill_worker(1)

@@ -164,3 +164,38 @@ class TestTranslationWellTypedness:
     def test_core_typechecks(self, text):
         compiled = compile_text(text)
         typecheck(compiled.expr, signature=compiled.signature)
+
+
+class TestZonk:
+    """``zonk_expr`` rewrites solved metavariables in place of rebuilding
+    the program: nodes with none keep their identity."""
+
+    def inferencer(self):
+        from repro.core.terms import Signature
+        from repro.source.infer import SourceInferencer
+
+        return SourceInferencer(Signature(()))
+
+    def test_meta_free_program_is_returned_itself(self):
+        from repro.core.terms import IntLit, Var
+
+        program = App(Lam("x", INT, Var("x")), IntLit(1))
+        assert self.inferencer().zonk_expr(program) is program
+
+    def test_only_nodes_with_solved_metas_are_rebuilt(self):
+        from repro.core.terms import Var
+
+        inferencer = self.inferencer()
+        meta = inferencer.fresh_meta()
+        inferencer.unify(meta, list_of(INT), "test")
+        ground = Lam("y", BOOL, Var("y"))
+        out = inferencer.zonk_expr(App(Lam("x", meta, Var("x")), ground))
+        assert out.fn.var_type is list_of(INT)
+        assert out.arg is ground
+
+    def test_unsolved_meta_is_ambiguous(self):
+        from repro.core.terms import Var
+
+        inferencer = self.inferencer()
+        with pytest.raises(SourceTypeError, match="ambiguous"):
+            inferencer.zonk_expr(Lam("x", inferencer.fresh_meta(), Var("x")))

@@ -89,6 +89,25 @@ class TestLexErrorPositions:
         assert excinfo.value.code == "IC0101"
         assert ParseError.code == "IC0102"
 
+    def test_non_ascii_digit_is_unexpected(self):
+        # '²'.isdigit() is true, but INT is ASCII [0-9]+ only: a lone
+        # superscript used to reach int('²') and crash with ValueError.
+        for source, column in (("²", 1), ("1²", 2), ("a ١", 3)):
+            with pytest.raises(LexError) as excinfo:
+                tokenize(source)
+            assert str(excinfo.value).startswith("unexpected character")
+            assert (excinfo.value.line, excinfo.value.column) == (1, column)
+            assert excinfo.value.code == "IC0101"
+
+    def test_digits_continue_identifiers(self):
+        # Identifiers start with str.isalpha() or '_' and continue with
+        # str.isalnum(), '_' or "'", so non-ASCII digits may follow.
+        assert kinds("x² y١ é1") == [
+            ("LIDENT", "x²"),
+            ("LIDENT", "y١"),
+            ("LIDENT", "é1"),
+        ]
+
     def test_token_spans(self):
         tokens = tokenize("ab\n  cde")
         assert tokens[0].span() == Span(1, 1, 1, 3)
