@@ -45,7 +45,13 @@ from .core.terms import EMPTY_SIGNATURE
 from .elaborate.translate import Elaborator
 from .errors import ImplicitCalculusError, ParseError
 from .obs import ResolutionStats, Tracer, collecting
-from .pipeline import Semantics, compile_source, run_core, typecheck_core
+from .pipeline import (
+    Semantics,
+    compile_source,
+    run_core,
+    stack_depth_errors,
+    typecheck_core,
+)
 from .systemf.ast import pretty_fexpr
 
 
@@ -565,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
             return report_error(exc)
     resolver = _resolver(args, tracer, store)
     try:
-        with collecting(stats):
+        with collecting(stats), stack_depth_errors():
             if args.core:
                 expr = parse_core_expr(text)
                 signature = EMPTY_SIGNATURE

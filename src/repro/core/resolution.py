@@ -336,8 +336,14 @@ class Resolver:
     #: Optional trace-event stream (``repro --trace``).
     tracer: Tracer | None = field(default=None, compare=False)
 
-    def resolve(self, env: ImplicitEnv, rho: Type) -> Derivation:
-        """Derive ``Delta |-r rho`` or raise a :class:`ResolutionError`."""
+    def resolve(
+        self, env: ImplicitEnv, rho: Type, *, _key: tuple | None = None
+    ) -> Derivation:
+        """Derive ``Delta |-r rho`` or raise a :class:`ResolutionError`.
+
+        ``_key`` is internal: the root step's derivation-cache key, for a
+        caller that already built it to probe the cache (the service).
+        """
         import sys
 
         # Each fuel unit costs a handful of Python frames; make sure the
@@ -347,16 +353,18 @@ class Resolver:
             sys.setrecursionlimit(needed)
         if self.stats is not None and active_stats() is not self.stats:
             with collecting(self.stats):
-                return self._resolve_query(env, rho)
-        return self._resolve_query(env, rho)
+                return self._resolve_query(env, rho, _key)
+        return self._resolve_query(env, rho, _key)
 
-    def _resolve_query(self, env: ImplicitEnv, rho: Type) -> Derivation:
+    def _resolve_query(
+        self, env: ImplicitEnv, rho: Type, key: tuple | None = None
+    ) -> Derivation:
         stats = active_stats()
         if stats is not None:
             stats.queries += 1
         if self.strategy is ResolutionStrategy.CORECURSIVE:
-            return self._resolve(env, rho, self.fuel, stack=[])
-        return self._resolve(env, rho, self.fuel)
+            return self._resolve(env, rho, self.fuel, stack=[], key=key)
+        return self._resolve(env, rho, self.fuel, key=key)
 
     def resolvable(self, env: ImplicitEnv, rho: Type) -> bool:
         from ..errors import ResolutionError
@@ -375,6 +383,7 @@ class Resolver:
         depth: int = 0,
         stack: list[_OpenGoal] | None = None,
         step_productive: bool = False,
+        key: tuple | None = None,
     ) -> Derivation:
         if fuel <= 0:
             raise ResolutionDivergenceError(
@@ -396,9 +405,9 @@ class Resolver:
             tracer.emit(QUERY, depth, str(rho))
 
         cache = self.cache
-        key: tuple | None = None
         if cache is not None:
-            key = cache.key_for(env, rho, self.strategy, self.policy)
+            if key is None:
+                key = cache.key_for(env, rho, self.strategy, self.policy)
             entry = cache.get(key, fuel)
             if entry is not None and stack and not entry.is_success:
                 # An open ancestor goal could rescue this failure by a

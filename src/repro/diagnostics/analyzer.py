@@ -43,7 +43,12 @@ from ..core.termination import check_rule_termination
 from ..core.typecheck import TypeChecker, unambiguous
 from ..core.types import TVar, Type, canonical_key, ftv, promote
 from ..core.unify import unifiable
-from ..errors import ImplicitCalculusError, ParseError, TerminationError
+from ..errors import (
+    ImplicitCalculusError,
+    ParseError,
+    StackDepthError,
+    TerminationError,
+)
 from ..span import Span
 from .codes import severity_for
 from .diagnostic import Diagnostic, Severity
@@ -58,19 +63,25 @@ def lint_source(
     check_semantic: bool = True,
     strict_coherence: bool = False,
 ) -> list[Diagnostic]:
-    """Lint source text; parse failures become IC01xx diagnostics."""
+    """Lint source text; parse failures become IC01xx diagnostics, and a
+    program too deep for the recursive passes one IC0405 diagnostic."""
+    from ..pipeline import stack_depth_errors
     from ..source.parser import parse_program
 
     try:
         program = parse_program(text)
     except ParseError as exc:
         return [_from_exception(exc)]
-    return lint_program(
-        program,
-        policy=policy,
-        check_semantic=check_semantic,
-        strict_coherence=strict_coherence,
-    )
+    try:
+        with stack_depth_errors():
+            return lint_program(
+                program,
+                policy=policy,
+                check_semantic=check_semantic,
+                strict_coherence=strict_coherence,
+            )
+    except StackDepthError as exc:
+        return [_from_exception(exc)]
 
 
 def lint_program(

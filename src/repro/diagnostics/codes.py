@@ -71,6 +71,7 @@ CATALOGUE: dict[str, CodeInfo] = {
         _error("IC0402", "ambiguous rule type", "termination"),
         _error("IC0403", "resolution divergence", "termination"),
         _error("IC0404", "resolution deadline exceeded", "termination"),
+        _error("IC0405", "program too deep", "termination"),
         # -- IC05xx: style (lint-only) ----------------------------------
         _warning("IC0501", "unused implicit rule", "style"),
         _warning("IC0502", "shadowed implicit rule", "style"),

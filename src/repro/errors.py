@@ -110,6 +110,20 @@ class DeadlineExceededError(ResolutionError):
     code = "IC0404"
 
 
+class StackDepthError(ImplicitCalculusError):
+    """A program too deep for the recursive stages after the parser.
+
+    Inference, elaboration, both type checkers and evaluation recurse on
+    the syntax tree, so a long flat sequence (thousands of ``+``
+    operands or ``def`` lines) is as deep for them as thousands of
+    nesting levels.  The parsers cap nesting themselves (IC0102); past
+    them, :func:`repro.pipeline.stack_depth_errors` reports the
+    interpreter's ``RecursionError`` as this error.
+    """
+
+    code = "IC0405"
+
+
 class TerminationError(ImplicitCalculusError):
     """A rule violates the static termination conditions of the appendix."""
 

@@ -101,9 +101,7 @@ Counter glossary (see also ``docs/OBSERVABILITY.md``):
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 
 @dataclass
@@ -202,22 +200,30 @@ def active_stats() -> ResolutionStats | None:
     return getattr(_SLOT, "stats", None)
 
 
-@contextmanager
-def collecting(stats: ResolutionStats | None) -> Iterator[ResolutionStats | None]:
+class collecting:
     """Route this thread's counters into ``stats`` for the block.
 
     ``collecting(None)`` is a no-op context (convenient for optional
-    ``stats=`` parameters on the pipeline entry points).
+    ``stats=`` parameters on the pipeline entry points).  A class, not a
+    generator: the service enters one per request, and a generator-based
+    context manager costs several times as much.
     """
-    if stats is None:
-        yield None
-        return
-    previous = getattr(_SLOT, "stats", None)
-    _SLOT.stats = stats
-    try:
-        yield stats
-    finally:
-        _SLOT.stats = previous
+
+    __slots__ = ("_stats", "_previous")
+
+    def __init__(self, stats: ResolutionStats | None):
+        self._stats = stats
+        self._previous: ResolutionStats | None = None
+
+    def __enter__(self) -> ResolutionStats | None:
+        if self._stats is not None:
+            self._previous = getattr(_SLOT, "stats", None)
+            _SLOT.stats = self._stats
+        return self._stats
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._stats is not None:
+            _SLOT.stats = self._previous
 
 
 def record_lookup() -> None:

@@ -22,8 +22,9 @@ Example::
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .core.resolution import Resolver
 from .core.terms import EMPTY_SIGNATURE, Expr, Signature
@@ -38,7 +39,7 @@ from .source.parser import parse_program
 from .systemf.ast import FExpr, ftypes_eq
 from .systemf.eval import feval
 from .systemf.typecheck import FTypeChecker
-from .errors import SystemFTypeError
+from .errors import StackDepthError, SystemFTypeError
 
 
 class Semantics(enum.Enum):
@@ -139,6 +140,28 @@ def run_core(
             deadline=resolver.deadline,
         )
         return CoreRun(expr=expr, type=tau, value=interpreter.run(expr))
+
+
+@contextmanager
+def stack_depth_errors() -> Iterator[None]:
+    """Report a ``RecursionError`` in the block as :class:`StackDepthError`.
+
+    The CLI and the service's program ops run the pipeline under this,
+    so a program too deep for the recursive stages after the parser
+    gets one coded error instead of a traceback or an ``internal``
+    answer.  Making those stages stack safe is the real fix.
+    """
+    try:
+        yield
+        return
+    except RecursionError:
+        pass
+    # Raised outside the handler, so the error does not keep the
+    # RecursionError's thousands of frames alive as its context.
+    raise StackDepthError(
+        "program too deep for inference, elaboration, type checking or "
+        "evaluation (maximum recursion depth exceeded)"
+    )
 
 
 def compile_source(source: str) -> CompiledSource:

@@ -60,12 +60,16 @@ class ServiceClient:
         service: Any = None,
         process: subprocess.Popen | None = None,
         close_io: Callable[[], None] | None = None,
+        close_reader: Callable[[], None] | None = None,
     ):
         self._send_line = send_line
         self._read_line = read_line
         self._service = service
         self._process = process
         self._close_io = close_io
+        #: Closes the stream ``read_line`` reads, once the reader thread
+        #: has stopped reading it.
+        self._close_reader = close_reader
         self._ids = iter(range(1, 1 << 62))
         self._lock = threading.Lock()
         self._pending: dict[Any, Future] = {}
@@ -101,6 +105,7 @@ class ServiceClient:
             process.stdout.readline,
             process=process,
             close_io=process.stdin.close,
+            close_reader=process.stdout.close,
         )
 
     @classmethod
@@ -118,7 +123,9 @@ class ServiceClient:
                 pass
             sock.close()
 
-        return cls(send_line, reader.readline, close_io=close_io)
+        return cls(
+            send_line, reader.readline, close_io=close_io, close_reader=reader.close
+        )
 
     @classmethod
     def in_process(cls, service: Any) -> "ServiceClient":
@@ -218,6 +225,8 @@ class ServiceClient:
             self._process.wait(timeout=30)
         if self._reader is not None:
             self._reader.join(timeout=10)
+            if self._close_reader is not None and not self._reader.is_alive():
+                self._close_reader()
 
     @property
     def returncode(self) -> int | None:

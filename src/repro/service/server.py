@@ -5,21 +5,23 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level view)::
     transport (stdio line loop / TCP connection threads)
         |  parse_request
         v
-    ResolutionService.process_line
+    ResolutionService.process
         |-- control ops (session/*, stats, ping, shutdown): inline,
         |   they only touch registry state under short locks
-        |-- a `resolve` the session's derivation cache already holds:
-        |   answered inline on the calling thread (never queued, shed
-        |   or coalesced)
-        `-- other work ops (resolve, typecheck, run_*): submitted to the
-            bounded WorkerPool -> Future[response dict]
-                |-- queue past watermark  -> `overloaded` (shed at the door)
-                |-- deadline expired while queued -> `timeout`
-                `-- singleflight: identical concurrent work keyed on the
-                    derivation-cache key shares one execution
+        `-- work ops: checked and snapshotted once, on arrival, into a Job
+                |-- a `resolve` the session's derivation cache holds:
+                |   _execute(job) inline (never queued, shed or coalesced)
+                `-- the rest: the bounded WorkerPool runs _execute(job)
+                    -> Future[response dict]
+                        |-- queue past watermark  -> `overloaded` (shed)
+                        |-- deadline expired while queued -> `timeout`
+                        `-- singleflight: identical concurrent work keyed
+                            on the derivation-cache key shares one run
 
-Responses may complete out of order; transports write them under a lock
-as their futures land, and clients match on ``id``.
+A job answers against the session as it stood on arrival, so a queued
+request is not overtaken by a later ``session/push_rules``.  Responses
+may complete out of order; transports write them under a lock as their
+futures land, and clients match on ``id``.
 
 Every work request collects into a fresh per-request
 :class:`~repro.obs.ResolutionStats` (the recorder slot is thread-local),
@@ -35,11 +37,14 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, wait as wait_futures
+from functools import partial
 from typing import Any, Callable, TextIO
 
 from ..core.cache import ResolutionCache
+from ..core.env import ImplicitEnv
 from ..core.parser import parse_core_expr, parse_core_type
 from ..core.pretty import pretty_type
+from ..core.resolution import Resolver
 from ..core.terms import EMPTY_SIGNATURE
 from ..core.types import Type
 from ..errors import (
@@ -50,10 +55,13 @@ from ..errors import (
     ResolutionError,
 )
 from ..obs import ResolutionStats, collecting
-from ..pipeline import Semantics, compile_source, run_core, typecheck_core
+from ..pipeline import (
+    Semantics, compile_source, run_core, stack_depth_errors, typecheck_core,
+)
 from .protocol import (
     SERVER_OPS,
     SESSION_OPS,
+    SESSIONLESS_OPS,
     WORK_OPS,
     ErrorCode,
     ProtocolError,
@@ -71,11 +79,40 @@ from .protocol import (
     session_new_params,
     unknown_op,
 )
-from .sessions import SessionConfig, SessionRegistry
+from .sessions import Session, SessionConfig, SessionRegistry
 from .worker import Overloaded, SingleFlight, WorkerPool
 
 #: Cap for ``debug/sleep`` so a hostile client cannot park a worker.
 MAX_DEBUG_SLEEP = 5.0
+
+
+class Job:
+    """One work request, checked and snapshotted once, on arrival.
+
+    :meth:`ResolutionService.process` fills it in; the op's ``_op_*``
+    method checks its params and returns ``work``, the thunk that
+    :meth:`ResolutionService._execute` runs, inline for a cache hit or
+    on the pool.  ``work`` closes over the snapshot (for ``resolve``:
+    the interned query type and its derivation-cache key).  A request
+    that fails a check carries the exception in ``error`` instead, and
+    ``_execute`` answers with it.
+    """
+
+    __slots__ = ("request", "deadline", "session", "env", "resolver",
+                 "work", "flight", "inline", "error")
+
+    def __init__(self, request: Request, deadline: float | None):
+        self.request = request
+        self.deadline = deadline
+        self.session: Session | None = None
+        self.env: ImplicitEnv | None = None
+        self.resolver: Resolver | None = None
+        self.work: Callable[[], Any] | None = None
+        #: Singleflight key, ``None`` when the job must run on its own.
+        self.flight: tuple | None = None
+        #: A derivation-cache hit, answered on the calling thread.
+        self.inline = False
+        self.error: Exception | None = None
 
 
 class ResolutionService(Service):
@@ -122,9 +159,9 @@ class ResolutionService(Service):
         self._control: dict[str, Callable[[Request], Any]] = dispatch_table(
             self, SERVER_OPS + SESSION_OPS
         )
-        self._work: dict[
-            str, Callable[[Request, float | None, ResolutionStats], Any]
-        ] = dispatch_table(self, WORK_OPS)
+        self._work: dict[str, Callable[[Job], Callable[[], Any]]] = (
+            dispatch_table(self, WORK_OPS)
+        )
 
     # -- durable sessions --------------------------------------------------
 
@@ -203,7 +240,8 @@ class ResolutionService(Service):
                 )
             except Exception as exc:  # noqa: BLE001 - protocol boundary
                 return error_response(request.id, ErrorCode.INTERNAL, repr(exc))
-        if request.op not in self._work:
+        prepare = self._work.get(request.op)
+        if prepare is None:
             return unknown_op(request)
         if self.stopping.is_set():
             return error_response(
@@ -216,12 +254,22 @@ class ResolutionService(Service):
             deadline = deadline_of(request.params)
         except ProtocolError as exc:
             return error_response(request.id, exc.code, str(exc))
-        if request.op == "resolve":
-            request, cached = self._probe(request)
-            if cached:
-                return self._execute(request, deadline)
+        job = Job(request, deadline)
         try:
-            return self.pool.submit(lambda: self._execute(request, deadline))
+            if request.op not in SESSIONLESS_OPS:
+                session = job.session = self.registry.get(request.params.get("session"))
+                job.env = session.current_env()
+                job.resolver = session.resolver_for(deadline)
+            job.work = prepare(job)
+        except Exception as exc:  # noqa: BLE001 - answered by _execute
+            # Whatever the failure (a coded error, a RecursionError on a
+            # deeply nested query), the pool answers it like any other
+            # work, so a bad request queues and sheds as a good one does.
+            job.error = exc
+        if job.inline:
+            return self._execute(job)
+        try:
+            return self.pool.submit(partial(self._execute, job))
         except Overloaded as exc:
             with self._stats_lock:
                 self.stats.shed_requests += 1
@@ -250,53 +298,25 @@ class ResolutionService(Service):
             rho = self._query_types[query] = parse_core_type(query)
         return rho
 
-    def _probe(self, request: Request) -> "tuple[Request, bool]":
-        """Parse a ``resolve`` query once and probe the session's cache.
-
-        Returns the request with its query parsed (the worker reuses the
-        :class:`Type`) and whether the in-memory derivation cache already
-        holds the answer.  The probe never reads through to a disk store
-        and records no counters: :meth:`_execute` then resolves as usual
-        and counts the hit, or recomputes if the entry was evicted in
-        between -- on the calling thread, reading through to a
-        ``--cache-dir`` store if the session has one.  A request the
-        worker must reject (unknown session, bad query) is left for it
-        to answer.
-        """
-        try:
-            session = self.registry.get(request.params.get("session"))
-            rho = self._query_type(request.params)
-        except Exception:
-            # Whatever the failure (a coded error, a RecursionError on a
-            # deeply nested query), the worker answers it as before: an
-            # exception escaping here would end the transport loop.
-            return request, False
-        request = Request(request.id, request.op, {**request.params, "type": rho})
-        resolver = session.resolver
-        cache = resolver.cache
-        if cache is None:
-            return request, False
-        key = ResolutionCache.key_for(
-            session.current_env(), rho, resolver.strategy, resolver.policy
-        )
-        return request, cache.holds(key, resolver.fuel)
-
-    def _execute(self, request: Request, deadline: float | None) -> dict:
-        """Runs on a worker thread, or inline for a derivation-cache hit;
-        always returns a response dict."""
+    def _execute(self, job: Job) -> dict:
+        """Run one job, on a worker thread or inline for a derivation-cache
+        hit; always returns a response dict."""
+        request = job.request
         request_stats = ResolutionStats()
-        session = None
-        session_name = request.params.get("session")
         try:
-            if session_name is not None:
-                session = self.registry.get(session_name)
-            if deadline is not None and time.monotonic() >= deadline:
+            if job.error is not None:
+                raise job.error
+            if job.deadline is not None and time.monotonic() >= job.deadline:
                 # Expired while queued: answer without wasting the worker.
                 raise DeadlineExceededError(
                     "deadline expired before execution started"
                 )
             with collecting(request_stats):
-                result = self._work[request.op](request, deadline, request_stats)
+                if job.flight is None or self.flight is None:
+                    result = job.work()
+                else:
+                    result, coalesced = self.flight.do(job.flight, job.work)
+                    request_stats.coalesced_requests += coalesced
             response = ok_response(request.id, result)
         except ProtocolError as exc:
             response = error_response(request.id, exc.code, str(exc))
@@ -329,25 +349,11 @@ class ResolutionService(Service):
             response = error_response(request.id, ErrorCode.INTERNAL, repr(exc))
         if request.params.get("stats"):
             response["stats"] = request_stats.as_dict()
-        if session is not None:
-            session.record(request_stats)
+        if job.session is not None:
+            job.session.record(request_stats)
         with self._stats_lock:
             self.stats.merge(request_stats)
         return response
-
-    def _coalesced(
-        self,
-        key: tuple | None,
-        fn: Callable[[], Any],
-        request_stats: ResolutionStats,
-    ) -> Any:
-        """Run ``fn`` through singleflight when a key is available."""
-        if key is None or self.flight is None:
-            return fn()
-        result, coalesced = self.flight.do(key, fn)
-        if coalesced:
-            request_stats.coalesced_requests += 1
-        return result
 
     # -- control operations ------------------------------------------------
 
@@ -432,40 +438,38 @@ class ResolutionService(Service):
         return {"session": session.name, "closed": True}
 
     # -- work operations ---------------------------------------------------
+    #
+    # Each runs on arrival: it checks its params against the job's
+    # snapshot and returns the thunk that _execute later runs.
 
-    def _op_resolve(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
-        session = self.registry.get(request.params.get("session"))
-        rho = self._query_type(request.params)
-        env = session.current_env()
-        resolver = session.resolver_for(deadline)
-        key = None
-        if deadline is None:
-            cache_key = ResolutionCache.key_for(
-                env, rho, resolver.strategy, resolver.policy
-            )
+    def _op_resolve(self, job: Job) -> Callable[[], dict]:
+        env, resolver = job.env, job.resolver
+        rho = self._query_type(job.request.params)
+        key = ResolutionCache.key_for(env, rho, resolver.strategy, resolver.policy)
+        cache = resolver.cache
+        if cache is not None and cache.holds(key, resolver.fuel):
+            # A hit runs on the calling thread: never queued, shed or
+            # coalesced (there is no proof to share).
+            job.inline = True
+        elif job.deadline is None:
             # The derivation-cache key *is* the identity of this unit of
-            # work: identical concurrent queries share one proof.  A query
-            # the cache already answers has nothing to share.
-            if resolver.cache is None or not resolver.cache.holds(
-                cache_key, resolver.fuel
-            ):
-                key = ("resolve", session.name, cache_key, resolver.fuel)
+            # work: identical concurrent queries share one proof.
+            job.flight = ("resolve", job.session.name, key, resolver.fuel)
+        params = job.request.params
 
         def work() -> dict:
-            derivation = resolver.resolve(env, rho)
+            derivation = resolver.resolve(env, rho, _key=key)
             result = {
                 "resolved": True,
                 "query": str(rho),
                 "matched": str(derivation.lookup.entry.rho),
                 "size": derivation.size(),
             }
-            if request.params.get("explain"):
+            if params.get("explain"):
                 from ..core.explain import explain_derivation
 
                 result["explain"] = explain_derivation(derivation)
-            if request.params.get("signature"):
+            if params.get("signature"):
                 from ..fuzz.oracles import derivation_signature
                 from .wire import encode_signature
 
@@ -474,11 +478,9 @@ class ResolutionService(Service):
                 )
             return result
 
-        return self._coalesced(key, work, request_stats)
+        return work
 
-    def _op_subtyping_check(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
+    def _op_subtyping_check(self, job: Job) -> Callable[[], dict]:
         """Decide the query by intersection subtyping (decision only).
 
         Unlike ``resolve`` this never produces evidence, so it cannot
@@ -488,9 +490,8 @@ class ResolutionService(Service):
         """
         from ..subtyping import SubtypingVerdict, decide
 
-        session = self.registry.get(request.params.get("session"))
-        rho = self._query_type(request.params)
-        env = session.current_env()
+        env = job.env
+        rho = self._query_type(job.request.params)
 
         def work() -> dict:
             result = decide(env, rho)
@@ -503,119 +504,99 @@ class ResolutionService(Service):
                 "reason": result.reason,
             }
 
-        return self._coalesced(None, work, request_stats)
-
-    def _session_and_semantics(
-        self, request: Request
-    ) -> tuple[Any, Semantics, bool]:
-        session = self.registry.get(request.params.get("session"))
-        semantics_name = request.params.get("semantics")
-        if semantics_name is None:
-            semantics = session.config.semantics
-        else:
-            try:
-                semantics = Semantics(semantics_name)
-            except ValueError as exc:
-                raise ProtocolError(ErrorCode.INVALID_REQUEST, str(exc)) from exc
-        verify = bool(request.params.get("verify", False))
-        return session, semantics, verify
+        return work
 
     @staticmethod
-    def _program_text(request: Request) -> str:
-        text = request.params.get("program")
+    def _semantics(job: Job) -> Semantics:
+        name = job.request.params.get("semantics")
+        if name is None:
+            return job.session.config.semantics
+        try:
+            return Semantics(name)
+        except ValueError as exc:
+            raise ProtocolError(ErrorCode.INVALID_REQUEST, str(exc)) from exc
+
+    @staticmethod
+    def _program_text(job: Job) -> str:
+        text = job.request.params.get("program")
         if not isinstance(text, str):
             raise ProtocolError(ErrorCode.INVALID_REQUEST, "'program' must be a string")
         return text
 
-    def _op_typecheck(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
-        session, _, _ = self._session_and_semantics(request)
-        text = self._program_text(request)
-        core = bool(request.params.get("core", False))
-        resolver = session.resolver_for(deadline)
-        key = None
-        if deadline is None:
-            key = ("typecheck", session.name, core, text,
-                   resolver.strategy, resolver.policy, resolver.fuel)
+    @staticmethod
+    def _parse_program(text: str, core: bool) -> tuple:
+        if core:
+            return parse_core_expr(text), EMPTY_SIGNATURE
+        compiled = compile_source(text)
+        return compiled.expr, compiled.signature
+
+    def _op_typecheck(self, job: Job) -> Callable[[], dict]:
+        self._semantics(job)  # checked as for the run ops, though unused
+        text = self._program_text(job)
+        core = bool(job.request.params.get("core", False))
+        resolver = job.resolver
+        if job.deadline is None:
+            job.flight = ("typecheck", job.session.name, core, text,
+                          resolver.strategy, resolver.policy, resolver.fuel)
 
         def work() -> dict:
-            if core:
-                expr, signature = parse_core_expr(text), EMPTY_SIGNATURE
-            else:
-                compiled = compile_source(text)
-                expr, signature = compiled.expr, compiled.signature
-            tau = typecheck_core(expr, signature=signature, resolver=resolver)
+            with stack_depth_errors():
+                expr, signature = self._parse_program(text, core)
+                tau = typecheck_core(expr, signature=signature, resolver=resolver)
             return {"type": pretty_type(tau)}
 
-        return self._coalesced(key, work, request_stats)
+        return work
 
-    def _run_program(
-        self,
-        request: Request,
-        deadline: float | None,
-        request_stats: ResolutionStats,
-        core: bool,
-    ) -> dict:
-        session, semantics, verify = self._session_and_semantics(request)
-        text = self._program_text(request)
-        resolver = session.resolver_for(deadline)
-        key = None
-        if deadline is None:
-            key = ("run", session.name, core, text, semantics, verify,
-                   resolver.strategy, resolver.policy, resolver.fuel)
+    def _run_program(self, job: Job, core: bool) -> Callable[[], dict]:
+        semantics = self._semantics(job)
+        verify = bool(job.request.params.get("verify", False))
+        text = self._program_text(job)
+        resolver = job.resolver
+        if job.deadline is None:
+            job.flight = ("run", job.session.name, core, text, semantics, verify,
+                          resolver.strategy, resolver.policy, resolver.fuel)
 
         def work() -> dict:
-            if core:
-                expr, signature = parse_core_expr(text), EMPTY_SIGNATURE
-            else:
-                compiled = compile_source(text)
-                expr, signature = compiled.expr, compiled.signature
-            run = run_core(
-                expr,
-                signature=signature,
-                resolver=resolver,
-                semantics=semantics,
-                verify=verify,
-            )
+            with stack_depth_errors():
+                expr, signature = self._parse_program(text, core)
+                run = run_core(
+                    expr,
+                    signature=signature,
+                    resolver=resolver,
+                    semantics=semantics,
+                    verify=verify,
+                )
             return {
                 "type": pretty_type(run.type),
                 "value": repr(run.value),
                 "semantics": semantics.value,
             }
 
-        return self._coalesced(key, work, request_stats)
+        return work
 
-    def _op_run_core(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
-        return self._run_program(request, deadline, request_stats, core=True)
+    def _op_run_core(self, job: Job) -> Callable[[], dict]:
+        return self._run_program(job, core=True)
 
-    def _op_run_source(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
-        return self._run_program(request, deadline, request_stats, core=False)
+    def _op_run_source(self, job: Job) -> Callable[[], dict]:
+        return self._run_program(job, core=False)
 
-    def _op_lint(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
+    def _op_lint(self, job: Job) -> Callable[[], dict]:
         """Static diagnostics over a source program or the session env.
 
         With a ``program`` param the source text is linted in full
         (parse, well-formedness, style); without one the session's
-        current implicit environment is linted frame by frame.  Findings
-        are data, not failures: the response is always ``ok`` and
-        carries the sorted diagnostic list.
+        implicit environment, as it stood on arrival, is linted frame
+        by frame.  Findings are data, not failures: the response is
+        always ``ok`` and carries the sorted diagnostic list.
         """
         from ..diagnostics import lint_env, lint_source
 
-        session = self.registry.get(request.params.get("session"))
-        policy = session.config.policy
-        text = request.params.get("program")
+        policy = job.session.config.policy
+        text = job.request.params.get("program")
         if text is not None and not isinstance(text, str):
             raise ProtocolError(ErrorCode.INVALID_REQUEST, "'program' must be a string")
-        env = session.current_env()
-        key = ("lint", session.name, policy, text, env.fingerprint())
+        env = job.env
+        job.flight = ("lint", job.session.name, policy, text, env.fingerprint())
 
         def work() -> dict:
             if text is not None:
@@ -628,25 +609,28 @@ class ResolutionService(Service):
                 "warnings": sum(d.severity.value == "warning" for d in diagnostics),
             }
 
-        return self._coalesced(key, work, request_stats)
+        return work
 
-    def _op_debug_sleep(
-        self, request: Request, deadline: float | None, request_stats: ResolutionStats
-    ) -> dict:
-        seconds = request.params.get("seconds", 0.1)
+    def _op_debug_sleep(self, job: Job) -> Callable[[], dict]:
+        seconds = job.request.params.get("seconds", 0.1)
         if not isinstance(seconds, (int, float)) or seconds < 0:
             raise ProtocolError(
                 ErrorCode.INVALID_REQUEST, "'seconds' must be non-negative"
             )
         seconds = min(float(seconds), MAX_DEBUG_SLEEP)
-        end = time.monotonic() + seconds
-        while True:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                raise DeadlineExceededError("debug/sleep exceeded its deadline")
-            if now >= end:
-                return {"slept": seconds}
-            time.sleep(min(0.01, end - now))
+        deadline = job.deadline
+
+        def work() -> dict:
+            end = time.monotonic() + seconds
+            while True:
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    raise DeadlineExceededError("debug/sleep exceeded its deadline")
+                if now >= end:
+                    return {"slept": seconds}
+                time.sleep(min(0.01, end - now))
+
+        return work
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -108,12 +108,15 @@ class WorkerPool:
             if item is None:
                 return
             future, fn = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn())
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                future.set_exception(exc)
+            # Drop the job before waiting for the next one: an idle
+            # worker must not keep its last job's snapshot alive.
+            item = None
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn())
+                except BaseException as exc:  # noqa: BLE001 - relayed to caller
+                    future.set_exception(exc)
+            future = fn = None
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work, drain the queue, join the workers."""

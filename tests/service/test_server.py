@@ -381,11 +381,11 @@ class TestCoalescing:
         executions = []
         original = Resolver.resolve
 
-        def gated(self, env, rho):
+        def gated(self, env, rho, **internal):
             executions.append(rho)
             started.set()
             assert release.wait(timeout=10)
-            return original(self, env, rho)
+            return original(self, env, rho, **internal)
 
         monkeypatch.setattr(Resolver, "resolve", gated)
         request = {
@@ -421,10 +421,10 @@ class TestCoalescing:
         calls = []
         original = Resolver.resolve
 
-        def gated(self, env, rho):
+        def gated(self, env, rho, **internal):
             calls.append(str(rho))
             assert release.wait(timeout=10)
-            return original(self, env, rho)
+            return original(self, env, rho, **internal)
 
         monkeypatch.setattr(Resolver, "resolve", gated)
         futures = [
@@ -647,6 +647,180 @@ class TestCacheHitsInline:
             assert response["ok"] and response["stats"]["store_hits"] == 1
             assert fetch_threads
             assert threading.current_thread() not in fetch_threads
+        finally:
+            service.shutdown()
+
+
+PINNED = (
+    "queries",
+    "resolve_steps",
+    "cache_hits",
+    "cache_misses",
+    "deadline_timeouts",
+    "shed_requests",
+    "coalesced_requests",
+)
+
+
+def _pinned(counters):
+    return {name: counters[name] for name in PINNED}
+
+
+def _expected(**nonzero):
+    """The pinned counters, all zero unless given."""
+    return {name: nonzero.get(name, 0) for name in PINNED}
+
+
+def _session_stats(service, name="t"):
+    return service.handle_sync(
+        {"id": 0, "op": "session/stats", "params": {"session": name}}
+    )["result"]
+
+
+def _server_stats(service):
+    return service.handle_sync({"id": 0, "op": "server/stats"})["result"]
+
+
+class TestCounters:
+    """Exact ``session/stats`` and ``server/stats`` counters per request kind.
+
+    ``server/stats`` counts every request, the stats request itself too.
+    """
+
+    def test_cache_miss_then_hit(self, service):
+        new_session(service)  # 2 requests
+        for i in range(2):
+            assert service.handle_sync(json.loads(_resolve_line(i, "C8")))["ok"]
+        session = _session_stats(service)
+        assert session["requests"] == 2
+        want = _expected(queries=2, resolve_steps=10, cache_hits=1, cache_misses=9)
+        assert _pinned(session["counters"]) == want
+        server = _server_stats(service)
+        assert server["requests"] == 6
+        assert _pinned(server["counters"]) == want
+
+    def test_unknown_session(self, service):
+        new_session(service)
+        response = service.handle_sync(
+            {"id": 1, "op": "resolve", "params": {"session": "ghost", "type": "C0"}}
+        )
+        assert response["error"]["code"] == ErrorCode.UNKNOWN_SESSION
+        session = _session_stats(service)
+        assert session["requests"] == 0
+        want = _expected()
+        assert _pinned(session["counters"]) == want
+        server = _server_stats(service)
+        assert server["requests"] == 5
+        assert _pinned(server["counters"]) == want
+
+    def test_unparsable_query_counts_one_session_request(self, service):
+        new_session(service)
+        response = service.handle_sync(json.loads(_resolve_line(1, "((((")))
+        assert response["error"]["code"] == ErrorCode.PROGRAM_PARSE_ERROR
+        session = _session_stats(service)
+        assert session["requests"] == 1
+        want = _expected()
+        assert _pinned(session["counters"]) == want
+        server = _server_stats(service)
+        assert server["requests"] == 5
+        assert _pinned(server["counters"]) == want
+
+    def test_deadline_expired_while_queued(self):
+        service = ResolutionService(workers=1, queue_depth=4)
+        try:
+            new_session(service)
+            blocker = service.process_line(
+                '{"id": 1, "op": "debug/sleep", "params": {"seconds": 0.3}}'
+            )
+            queued = service.process_line(_resolve_line(2, "C0", deadline_ms=50))
+            assert isinstance(queued, Future)
+            response = queued.result(timeout=10)
+            assert response["error"]["code"] == ErrorCode.TIMEOUT
+            assert blocker.result(timeout=10)["ok"]
+            session = _session_stats(service)
+            assert session["requests"] == 1
+            want = _expected(deadline_timeouts=1)
+            assert _pinned(session["counters"]) == want
+            server = _server_stats(service)
+            assert server["requests"] == 6
+            assert _pinned(server["counters"]) == want
+        finally:
+            service.shutdown()
+
+    def test_shed_at_the_watermark(self):
+        service = ResolutionService(workers=1, queue_depth=1)
+        try:
+            new_session(service)
+            running = service.process_line(
+                '{"id": 1, "op": "debug/sleep", "params": {"seconds": 0.3}}'
+            )
+            deadline = time.monotonic() + 10
+            while service.pool.queue_depth():  # the worker took it
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            queued = service.process_line(
+                '{"id": 2, "op": "debug/sleep", "params": {"seconds": 0}}'
+            )
+            shed = service.process_line(_resolve_line(3, "C0"))
+            assert isinstance(shed, dict)
+            assert shed["error"]["code"] == ErrorCode.OVERLOADED
+            for sleeper in (running, queued):
+                assert sleeper.result(timeout=10)["ok"]
+            session = _session_stats(service)
+            assert session["requests"] == 0
+            assert _pinned(session["counters"]) == _expected()
+            server = _server_stats(service)
+            assert server["requests"] == 7
+            assert _pinned(server["counters"]) == _expected(shed_requests=1)
+        finally:
+            service.shutdown()
+
+
+class TestArrivalOrder:
+    """A queued request answers against the session as it stood on arrival,
+    as if requests were served in arrival order."""
+
+    def _queued_then_pushed(self, service, request, rules):
+        """Send ``request`` behind a sleeper, push ``rules``; its answer."""
+        assert service.handle_sync(
+            {"id": 0, "op": "session/new", "params": {"name": "s", "rules": ["Int"]}}
+        )["ok"]
+        sleeper = service.process_line(
+            '{"id": 1, "op": "debug/sleep", "params": {"seconds": 0.3}}'
+        )
+        queued = service.process_line(json.dumps({"id": 2, **request}))
+        assert isinstance(queued, Future)
+        pushed = service.handle_sync(
+            {
+                "id": 3,
+                "op": "session/push_rules",
+                "params": {"session": "s", "rules": rules},
+            }
+        )
+        assert pushed["ok"]
+        assert sleeper.result(timeout=10)["ok"]
+        return queued.result(timeout=10)
+
+    def test_queued_resolve_is_not_overtaken_by_a_push(self):
+        service = ResolutionService(workers=1)
+        try:
+            request = {"op": "resolve", "params": {"session": "s", "type": "Bool"}}
+            response = self._queued_then_pushed(service, request, ["Bool"])
+            assert response["error"]["code"] == ErrorCode.RESOLUTION_FAILURE
+            # Sent after the push, the same query sees the new frame.
+            assert service.handle_sync({"id": 4, **request})["ok"]
+        finally:
+            service.shutdown()
+
+    def test_queued_lint_is_not_overtaken_by_a_push(self):
+        service = ResolutionService(workers=1)
+        try:
+            request = {"op": "lint", "params": {"session": "s"}}
+            # A second Int frame shadows the first (IC0502).
+            response = self._queued_then_pushed(service, request, ["Int"])
+            assert response["ok"] and response["result"]["diagnostics"] == []
+            after = service.handle_sync({"id": 4, **request})["result"]
+            assert [d["code"] for d in after["diagnostics"]] == ["IC0502"]
         finally:
             service.shutdown()
 

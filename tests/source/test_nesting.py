@@ -4,6 +4,8 @@ Past :data:`repro.source.parser.MAX_NESTING` open levels a program is a
 parse error at the opening token; a program exactly at the cap runs end
 to end.  Before the cap, 100 nested parentheses or 300 nested lambdas
 crashed ``run``/``check``/``lint`` with a ``RecursionError`` traceback.
+Long flat sequences are not capped; one too deep for the stages after
+the parser is one coded error (IC0405) at the CLI and in the service.
 """
 
 import pytest
@@ -102,3 +104,62 @@ def test_core_syntax_is_capped_too(depth, impl_file, capsys):
     else:
         assert main(["run", "--core", path]) == 2
         assert "nesting deeper" in capsys.readouterr().err
+
+
+#: Flat sequences: not nesting, so not capped, but as deep as nesting
+#: for the recursive stages after the parser (IC0405).
+FLAT = {
+    "plus": lambda n: " + ".join(["1"] * n),
+    "defs": lambda n: "".join(f"def x{i} : Int = 1;\n" for i in range(n)) + "x0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT))
+class TestFlatSequences:
+    def test_cli_reports_one_coded_error(self, kind, impl_file, capsys):
+        path = impl_file(FLAT[kind](5000))
+        for command in ("run", "check"):
+            assert main([command, path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: stack_depth: program too deep"), err
+            assert "Traceback" not in err
+        assert main(["lint", path]) == 1
+        assert "error[IC0405]: program too deep" in capsys.readouterr().out
+
+    def test_service_answers_a_typed_error(self, kind):
+        from repro.service.server import ResolutionService
+
+        service = ResolutionService(workers=1)
+        try:
+            assert service.handle_sync(
+                {"id": 1, "op": "session/new", "params": {"name": "s"}}
+            )["ok"]
+            for op in ("run_source", "typecheck"):
+                response = service.handle_sync(
+                    {
+                        "id": 2,
+                        "op": op,
+                        "params": {"session": "s", "program": FLAT[kind](5000)},
+                    }
+                )
+                error = response["error"]
+                assert error["code"] == "type_error", error
+                assert error["details"] == {"error": "StackDepthError"}
+            linted = service.handle_sync(
+                {
+                    "id": 2,
+                    "op": "lint",
+                    "params": {"session": "s", "program": FLAT[kind](5000)},
+                }
+            )["result"]
+            assert [d["code"] for d in linted["diagnostics"]] == ["IC0405"]
+            # The service keeps serving.
+            assert service.handle_sync(
+                {
+                    "id": 3,
+                    "op": "run_source",
+                    "params": {"session": "s", "program": FLAT[kind](2000)},
+                }
+            )["ok"]
+        finally:
+            service.shutdown()
