@@ -51,7 +51,9 @@ The compiled path is the only production lookup.  It is observably
 equivalent to the naive frame scan -- same results, same failures,
 byte-identical messages -- which ``tests/property/test_property_compile.py``
 and the ``compiled`` fuzz oracle enforce against the reference scan in
-:mod:`repro.fuzz.reference`.
+:mod:`repro.fuzz.reference`.  The tries serve environment lookup only:
+the logic engine (:mod:`repro.logic`) is a plain reference prover that
+scans its clauses in program order.
 """
 
 from __future__ import annotations
@@ -211,15 +213,10 @@ class DiscriminationTrie:
     downstream matchers only ever *filter* the candidate list.
     """
 
-    __slots__ = ("root", "_skips")
+    __slots__ = ("root",)
 
     def __init__(self):
         self.root = _TrieNode()
-        #: Per-node memo of "consume exactly one pattern subterm" landing
-        #: sets, used for flexible query positions (logic-engine goals
-        #: with unbound variables).  Safe to cache: tries are frozen
-        #: after construction.
-        self._skips: dict[int, tuple[_TrieNode, ...]] = {}
 
     def insert(self, tokens: list, position: int) -> None:
         node = self.root
@@ -235,65 +232,30 @@ class DiscriminationTrie:
             node = child
         node.positions.append(position)
 
-    def _skip_one(self, node: _TrieNode) -> tuple[_TrieNode, ...]:
-        """All nodes reachable by consuming one whole pattern subterm."""
-        memo = self._skips.get(id(node))
-        if memo is not None:
-            return memo
-        landed: list[_TrieNode] = []
-        stack: list[tuple[_TrieNode, int]] = [(node, 1)]
-        while stack:
-            current, need = stack.pop()
-            for tok, child in current.edges.items():
-                remaining = need - 1 + tok[1]
-                if remaining == 0:
-                    landed.append(child)
-                else:
-                    stack.append((child, remaining))
-            if current.star is not None:
-                if need == 1:
-                    landed.append(current.star)
-                else:
-                    stack.append((current.star, need - 1))
-        memo = tuple(landed)
-        self._skips[id(node)] = memo
-        return memo
-
     def retrieve(
-        self,
-        tokens: list[tuple[tuple, int]],
-        extents: list[int],
-        flex: frozenset[int] = frozenset(),
+        self, tokens: list[tuple[tuple, int]], extents: list[int]
     ) -> list[int]:
         """Sorted candidate positions for the query token stream.
 
-        ``flex`` marks query positions that are unconstrained (logic
-        variables): they match one whole pattern subterm, star or rigid.
+        Each node has one path from the root, and that path fixes how
+        many query tokens it has consumed, so no node is visited twice
+        and each stored position is found at most once.
         """
         n = len(tokens)
-        found: set[int] = set()
+        found: list[int] = []
         stack: list[tuple[_TrieNode, int]] = [(self.root, 0)]
-        seen: set[tuple[int, int]] = set()
         while stack:
             node, i = stack.pop()
-            state = (id(node), i)
-            if state in seen:
-                continue
-            seen.add(state)
             if i == n:
-                found.update(node.positions)
+                found.extend(node.positions)
                 continue
-            if i in flex:
-                for landing in self._skip_one(node):
-                    stack.append((landing, i + 1))
-                continue
-            tok = tokens[i]
-            child = node.edges.get(tok)
+            child = node.edges.get(tokens[i])
             if child is not None:
                 stack.append((child, i + 1))
             if node.star is not None:
                 stack.append((node.star, extents[i]))
-        return sorted(found)
+        found.sort()
+        return found
 
     def describe(self) -> tuple:
         """A deterministic structural summary (edges sorted by token)."""

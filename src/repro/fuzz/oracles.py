@@ -440,7 +440,7 @@ def oracle_logic(case: FuzzCase, ctx: OracleContext) -> Verdict:
     from ..logic.encode import env_entails
 
     left = resolve_outcome(case)
-    entailed = env_entails(case.env(), case.query, cached=False)
+    entailed = env_entails(case.env(), case.query)
     right = _faulted("logic", Outcome("ok", ("entails", entailed)))
     if right.status == "fail":
         return Verdict("logic", "disagree", left, right)
@@ -964,7 +964,7 @@ def oracle_subtyping(case: FuzzCase, ctx: OracleContext) -> Verdict:
             Outcome("fail", "InvalidSubtypingDerivation"),
             note="derivation failed independent re-checking",
         )
-    entailed = env_entails(env, case.query, cached=False)
+    entailed = env_entails(env, case.query)
     right = Outcome(
         "ok", ("subtyping", result.verdict.value, "entails", entailed)
     )

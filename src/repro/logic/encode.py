@@ -22,8 +22,6 @@ program clause, which is a logical equivalence.
 
 from __future__ import annotations
 
-import threading
-
 from ..core.env import ImplicitEnv
 from ..core.types import RuleType, TCon, TFun, TVar, Type
 from .terms import Atom, Clause, ForallG, Goal, Implies, Struct, Term, Var
@@ -100,68 +98,12 @@ def program_of_env(env: ImplicitEnv) -> tuple[Clause, ...]:
     whether *some* proof exists, which is exactly why it over-approximates
     the paper's deterministic resolution (Theorem 1 is an implication, not
     an equivalence).
-
-    The translation only reads entry *types*, which is exactly what the
-    environment's structural fingerprint captures, so the clause program
-    is memoized per fingerprint (bounded FIFO; structurally equal
-    environments -- including an environment re-surfacing after a nested
-    scope pops -- share one translation).
     """
-    key = env.fingerprint()
-    program = _PROGRAM_MEMO.get(key)
-    if program is None:
-        program = tuple(clause_of_type(entry.rho) for entry in env.entries())
-        with _MEMO_LOCK:
-            if len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_MAX:
-                _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)), None)
-            _PROGRAM_MEMO[key] = program
-    return program
+    return tuple(clause_of_type(entry.rho) for entry in env.entries())
 
 
-_PROGRAM_MEMO: dict[object, tuple[Clause, ...]] = {}
-_PROGRAM_MEMO_MAX = 512
-
-_ENV_ENTAILS_MEMO: dict[tuple, bool] = {}
-_ENV_ENTAILS_MEMO_MAX = 4096
-
-#: Guards the check-then-evict-then-insert sequences of the two memo
-#: tables above against concurrent server workers.  Lock-free reads are
-#: fine (a stale miss just recomputes the same deterministic value).
-_MEMO_LOCK = threading.Lock()
-
-
-def clear_entailment_cache() -> None:
-    """Drop the memoized ``env_entails`` verdicts and clause programs
-    (test isolation hook)."""
-    _ENV_ENTAILS_MEMO.clear()
-    _PROGRAM_MEMO.clear()
-
-
-def env_entails(
-    env: ImplicitEnv, rho: Type, max_depth: int = 64, *, cached: bool = True
-) -> bool:
-    """Check ``Delta-dagger |= rho-dagger`` with the bounded prover.
-
-    Verdicts are memoized on ``(env fingerprint, canonical query key,
-    depth bound)``: the encoding ``(.)-dagger`` only reads entry *types*,
-    which is exactly what the structural fingerprint captures, so two
-    structurally equal environments share one entailment check.  Pass
-    ``cached=False`` to force a fresh proof search.
-    """
-    from ..core.types import canonical_key
-    from ..obs import record_entails
+def env_entails(env: ImplicitEnv, rho: Type, max_depth: int = 64) -> bool:
+    """Check ``Delta-dagger |= rho-dagger`` with the bounded prover."""
     from .engine import entails
 
-    if not cached:
-        return entails(program_of_env(env), goal_of_type(rho), max_depth=max_depth)
-    key = (env.fingerprint(), canonical_key(rho), max_depth)
-    cached_verdict = _ENV_ENTAILS_MEMO.get(key)
-    if cached_verdict is not None:
-        record_entails(hit=True)
-        return cached_verdict
-    verdict = entails(program_of_env(env), goal_of_type(rho), max_depth=max_depth)
-    with _MEMO_LOCK:
-        if len(_ENV_ENTAILS_MEMO) >= _ENV_ENTAILS_MEMO_MAX:
-            _ENV_ENTAILS_MEMO.pop(next(iter(_ENV_ENTAILS_MEMO)), None)
-        _ENV_ENTAILS_MEMO[key] = verdict
-    return verdict
+    return entails(program_of_env(env), goal_of_type(rho), max_depth=max_depth)

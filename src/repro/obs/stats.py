@@ -40,18 +40,17 @@ Counter glossary (see also ``docs/OBSERVABILITY.md``):
 ``lookup_calls``    environment lookups (``Delta(tau)``; one per scanned
                     *query*, not per scanned frame)
 ``unify_calls``     head-matching/unification attempts (one per candidate
-                    rule inspected, plus one per logic-engine backchain)
-``candidates_pruned`` rule entries (or clauses) a compiled scan's trie
-                    proved irrelevant without a matching attempt: the
-                    frame width minus the trie's candidates
+                    rule inspected, and one per clause the logic engine
+                    tries)
+``candidates_pruned`` rule entries a compiled scan's trie proved
+                    irrelevant without a matching attempt: the frame
+                    width minus the trie's candidates
 ``compiled_hits``   scans answered through a compiled discrimination-trie
                     matcher (one per frame consulted by an environment
-                    lookup, plus one per logic-engine backchain;
-                    :mod:`repro.core.compile_env`)
+                    lookup; :mod:`repro.core.compile_env`)
 ``compiled_fallbacks`` candidate rules a compiled scan had to hand back
                     to the generic matcher (heads embedding rule types)
 ``entails_calls``   logic-engine entailment checks (``Delta+ |= rho+``)
-``entails_hits``    entailment checks answered from the entailment memo
 ``coalesced_requests`` service requests answered by sharing another
                     in-flight identical request's computation
                     (singleflight; :mod:`repro.service.worker`)
@@ -119,7 +118,6 @@ class ResolutionStats:
     compiled_hits: int = 0
     compiled_fallbacks: int = 0
     entails_calls: int = 0
-    entails_hits: int = 0
     coalesced_requests: int = 0
     shed_requests: int = 0
     deadline_timeouts: int = 0
@@ -163,7 +161,7 @@ class ResolutionStats:
 
         Only the counters that fired in ``other`` are touched: a
         per-request stats object usually has a handful of non-zero
-        counters out of the 33.
+        counters out of the 30.
         """
         mine = self.__dict__
         for name, value in other.__dict__.items():
@@ -251,13 +249,11 @@ def record_compiled(fallbacks: int = 0, pruned: int = 0) -> None:
         stats.candidates_pruned += pruned
 
 
-def record_entails(hit: bool = False) -> None:
-    """One logic-engine entailment check (memoized or not)."""
+def record_entails() -> None:
+    """One logic-engine entailment check."""
     stats = getattr(_SLOT, "stats", None)
     if stats is not None:
         stats.entails_calls += 1
-        if hit:
-            stats.entails_hits += 1
 
 
 def record_fuzz_case() -> None:

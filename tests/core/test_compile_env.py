@@ -83,9 +83,9 @@ def _trie_for(heads_and_bounds):
     return trie
 
 
-def _retrieve(trie, tau, flex=frozenset()):
+def _retrieve(trie, tau):
     tokens = type_query_tokens(tau)
-    return trie.retrieve(tokens, token_extents(tokens), flex)
+    return trie.retrieve(tokens, token_extents(tokens))
 
 
 def test_trie_exact_star_and_miss():
@@ -102,17 +102,6 @@ def test_trie_exact_star_and_miss():
     assert _retrieve(trie, pair(pair(INT, INT), BOOL)) == [1]
     assert _retrieve(trie, TFun(BOOL, INT)) == [3]
     assert _retrieve(trie, CHAR) == []
-
-
-def test_trie_flex_position_matches_any_one_subterm():
-    trie = _trie_for([(INT, ()), (pair(INT, BOOL), ()), (pair(a, a), ("a",))])
-    # A fully flexible single-position query reaches every pattern.
-    tokens = [(("flex",), 0)]
-    assert trie.retrieve(tokens, token_extents(tokens), frozenset({0})) == [
-        0,
-        1,
-        2,
-    ]
 
 
 def test_trie_retrieval_is_sorted_entry_order():

@@ -15,7 +15,7 @@ from repro.core.cache import ResolutionCache
 from repro.core.env import ImplicitEnv
 from repro.core.resolution import Resolver
 from repro.core.types import BOOL, INT, rule
-from repro.logic.encode import clear_entailment_cache, env_entails
+from repro.logic.encode import env_entails
 from repro.obs import (
     CACHE_HIT,
     CACHE_MISS,
@@ -66,7 +66,6 @@ class TestHandComputedCounters:
             "compiled_hits": 2,
             "compiled_fallbacks": 0,
             "entails_calls": 0,
-            "entails_hits": 0,
             "coalesced_requests": 0,
             "shed_requests": 0,
             "deadline_timeouts": 0,
@@ -108,7 +107,6 @@ class TestHandComputedCounters:
             "compiled_hits": 2,
             "compiled_fallbacks": 0,
             "entails_calls": 0,
-            "entails_hits": 0,
             "coalesced_requests": 0,
             "shed_requests": 0,
             "deadline_timeouts": 0,
@@ -151,7 +149,6 @@ class TestHandComputedCounters:
             "compiled_hits": 1,
             "compiled_fallbacks": 0,
             "entails_calls": 0,
-            "entails_hits": 0,
             "coalesced_requests": 0,
             "shed_requests": 0,
             "deadline_timeouts": 0,
@@ -195,7 +192,6 @@ class TestHandComputedCounters:
             "compiled_hits": 4,
             "compiled_fallbacks": 0,
             "entails_calls": 0,
-            "entails_hits": 0,
             "coalesced_requests": 0,
             "shed_requests": 0,
             "deadline_timeouts": 0,
@@ -220,29 +216,17 @@ class TestHandComputedCounters:
 
 
 class TestEntailmentCounters:
-    def test_entailment_memo_counters(self, simple_env):
-        clear_entailment_cache()
-        stats = ResolutionStats()
-        with collecting(stats):
-            assert env_entails(simple_env, INT)
-            assert stats.entails_calls == 1
-            assert stats.entails_hits == 0
-            assert env_entails(simple_env, INT)
-            assert stats.entails_calls == 2
-            assert stats.entails_hits == 1
-            # A structurally equal environment shares the verdict.
-            twin = ImplicitEnv.empty().push([BOOL, rule(INT, [BOOL])])
-            assert env_entails(twin, INT)
-            assert stats.entails_hits == 2
-
     def test_uncached_entailment_always_searches(self, simple_env):
-        clear_entailment_cache()
+        # Every check runs the prover, and the prover's clause scan is
+        # not an environment lookup: it leaves the compiled-matcher
+        # counters alone.
         stats = ResolutionStats()
         with collecting(stats):
-            env_entails(simple_env, INT, cached=False)
-            env_entails(simple_env, INT, cached=False)
+            assert env_entails(simple_env, INT)
+            assert env_entails(simple_env, INT)
         assert stats.entails_calls == 2
-        assert stats.entails_hits == 0
+        assert stats.compiled_hits == stats.candidates_pruned == 0
+        assert stats.unify_calls > 0
 
 
 class TestCollecting:
@@ -299,16 +283,16 @@ class TestStatsValue:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.integers(min_value=0, max_value=50), min_size=31, max_size=31),
+        st.lists(st.integers(min_value=0, max_value=50), min_size=30, max_size=30),
         st.lists(
             st.one_of(st.just(0), st.integers(min_value=0, max_value=50)),
-            min_size=31,
-            max_size=31,
+            min_size=30,
+            max_size=30,
         ),
     )
     def test_merge_equals_the_field_by_field_definition(self, mine, theirs):
         names = [f.name for f in fields(ResolutionStats)]
-        assert len(names) == 31
+        assert len(names) == 30
         a = ResolutionStats(**dict(zip(names, mine)))
         b = ResolutionStats(**dict(zip(names, theirs)))
         expected = {

@@ -22,8 +22,6 @@ from repro.core.env import ImplicitEnv, OverlapPolicy
 from repro.core.subst import subst_type
 from repro.core.types import TVar, promote, rule
 from repro.fuzz.reference import NaiveEnv
-from repro.logic.encode import env_entails, goal_of_type, program_of_env
-from repro.logic.engine import Engine
 
 from .strategies import simple_types
 from .test_property_index import _outcome, random_environments
@@ -94,35 +92,6 @@ def test_rebuilt_environments_share_trie_keys(env_queries):
         rebuilt = rebuilt.push([entry.rho for entry in frame])
     assert rebuilt.fingerprint() == env.fingerprint()
     assert trie_key(rebuilt) == trie_key(env)
-
-
-class _ScanEngine(Engine):
-    """The reference prover: backchaining tries every clause."""
-
-    def clause_selection(self, program):
-        return None
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_environments())
-def test_logic_engine_agrees_under_compiled_clause_tries(env_queries):
-    """The engine's ClauseTrie (whole-skeleton clause indexing, flex
-    goal positions, root-screened program extension) must not change a
-    single entailment verdict.  The depth bound is kept small: these
-    environments include variable-headed catch-all rules, under which
-    backchaining branches exponentially in the bound -- and verdict
-    parity at *every* bound is exactly what indexing invisibility
-    means."""
-    env, queries = env_queries
-    for tau in queries:
-        # A rule-type goal additionally exercises Implies (program
-        # extension through the trie's root-symbol screen).
-        for rho in (tau, rule(tau, [queries[0]])):
-            compiled = env_entails(env, rho, max_depth=8, cached=False)
-            interpreted = _ScanEngine(max_depth=8).entails(
-                program_of_env(env), goal_of_type(rho)
-            )
-            assert compiled == interpreted
 
 
 @settings(max_examples=60, deadline=None)
