@@ -194,15 +194,15 @@ def _build_parser() -> argparse.ArgumentParser:
     transport.add_argument(
         "--tcp",
         metavar="HOST:PORT",
-        help="listen on a TCP address, one thread per connection",
+        help="listen on a TCP address (one event loop, all connections)",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="shard worker *processes* behind an async front-end, "
+        help="shard worker *processes* behind one supervisor, "
         "sessions routed by env fingerprint via consistent hashing; "
-        "0 (the default) keeps the single-process threaded server",
+        "0 (the default) serves from a single process",
     )
     serve.add_argument(
         "--threads",
@@ -335,35 +335,35 @@ def _serve(args: argparse.Namespace) -> int:
             )
             return 2
         port = int(port_text)
-    if args.workers > 0:
-        # Sharded: N shard processes behind an asyncio front-end.
-        from .service.frontend import serve_stdio_async, serve_tcp_async
-        from .service.shards import ShardSupervisor
-
-        supervisor = ShardSupervisor(
-            workers=args.workers,
-            threads=args.threads,
-            queue_depth=args.queue_depth,
-            coalesce=not args.no_coalesce,
-            health_interval=1.0,
-            cache_dir=args.cache_dir,
-        )
-        if args.stdio:
-            return serve_stdio_async(supervisor)
-        return serve_tcp_async(supervisor, host, port)
-    from .service import ResolutionService, serve_stdio, serve_tcp
-
     try:
-        service = ResolutionService(
-            workers=args.threads,
-            queue_depth=args.queue_depth,
-            coalesce=not args.no_coalesce,
-            cache_dir=args.cache_dir,
-        )
+        if args.workers > 0:
+            from .service.shards import ShardSupervisor
+
+            service = ShardSupervisor(
+                workers=args.workers,
+                threads=args.threads,
+                queue_depth=args.queue_depth,
+                coalesce=not args.no_coalesce,
+                health_interval=1.0,
+                cache_dir=args.cache_dir,
+            )
+        else:
+            from .service.server import ResolutionService
+
+            service = ResolutionService(
+                workers=args.threads,
+                queue_depth=args.queue_depth,
+                coalesce=not args.no_coalesce,
+                cache_dir=args.cache_dir,
+            )
     except ImplicitCalculusError as exc:
         return report_error(exc)
     if args.stdio:
+        from .service.server import serve_stdio
+
         return serve_stdio(service)
+    from .service.frontend import serve_tcp
+
     return serve_tcp(service, host, port)
 
 

@@ -16,8 +16,9 @@ persistent, concurrent backend instead:
   thousands of queries;
 * :mod:`repro.service.worker` -- the bounded thread pool with in-flight
   request coalescing (singleflight) and watermark load-shedding;
-* :mod:`repro.service.server` -- operation dispatch plus the stdio and
-  TCP transports behind ``repro serve``;
+* :mod:`repro.service.server` -- operation dispatch plus the threaded
+  stdio transport behind ``repro serve --stdio`` (both deployments, and
+  the shard worker's pipe);
 * :mod:`repro.service.wire` -- the compact wire format spoken between
   the shard supervisor and its worker processes (postfix type codec
   over the hash-consing tables, so decoding interns for free);
@@ -25,9 +26,10 @@ persistent, concurrent backend instead:
   serve --workers N``: consistent-hash session routing, crash-restart
   with warm-log replay, graceful drain, cross-shard stats aggregation;
 * :mod:`repro.service.shard_worker` -- the per-shard subprocess entry
-  point (a full single-process service speaking wire frames);
-* :mod:`repro.service.frontend` -- asyncio stdio/TCP front-ends used by
-  the sharded deployment;
+  point (a full single-process service speaking wire frames over the
+  stdio loop);
+* :mod:`repro.service.frontend` -- the asyncio TCP server behind
+  ``repro serve --tcp`` (both deployments);
 * :mod:`repro.service.client` -- the Python client used by the examples,
   the tests, the B11 load generator and the CI smoke drive.
 
@@ -44,7 +46,7 @@ from .protocol import (
     ok_response,
     parse_request,
 )
-from .server import ResolutionService, serve_stdio, serve_tcp
+from .server import ResolutionService, serve_stdio
 from .sessions import Session, SessionConfig, SessionRegistry
 from .wire import WireError
 from .worker import Overloaded, SingleFlight, WorkerPool
@@ -57,16 +59,15 @@ _LAZY = {
     "HashRing": "shards",
     "ShardSupervisor": "shards",
     "ShardedService": "shards",
-    "serve_stdio_async": "frontend",
-    "serve_tcp_async": "frontend",
+    "serve_tcp": "frontend",
 }
 
 
 def __getattr__(name: str):
     # The client is imported lazily so that ``python -m
     # repro.service.client`` does not trigger the double-import warning
-    # for the module it is itself executing; the shard/front-end modules
-    # so that plain single-process use never pays for them.
+    # for the module it is itself executing; the shard and TCP modules
+    # so that in-process use never pays for them (nor for asyncio).
     module_name = _LAZY.get(name)
     if module_name is not None:
         import importlib
@@ -97,7 +98,5 @@ __all__ = [
     "ok_response",
     "parse_request",
     "serve_stdio",
-    "serve_stdio_async",
     "serve_tcp",
-    "serve_tcp_async",
 ]

@@ -1,39 +1,41 @@
-"""Async front-end transports for the sharded resolution service.
+"""The TCP transport: one asyncio server for both deployments.
 
-One event loop owns request intake (``repro serve --workers N``): each
-incoming JSON line is dispatched synchronously (routing in the shard
-supervisor is non-blocking -- validation, a hash-ring lookup and a pipe
-write) and the returned :class:`concurrent.futures.Future` is awaited
-as a task, so thousands of in-flight requests cost one coroutine each
-instead of one thread each.  Completions are written as they land,
-out of order, exactly like the threaded transports in ``server.py``.
+``repro serve --tcp HOST:PORT`` runs one event loop that owns every
+connection, whether it fronts a single-process
+:class:`~repro.service.server.ResolutionService` or a
+:class:`~repro.service.shards.ShardSupervisor`.  Each incoming JSON line
+is dispatched synchronously (``process_line`` does not block: control
+ops and derivation-cache hits answer inline, the rest is queued on a
+pool or written to a shard's pipe) and a returned
+:class:`concurrent.futures.Future` is awaited as a task, so thousands of
+in-flight requests cost one coroutine each instead of one thread each.
+Completions are written as they land, out of order.
 
-Works unchanged against a single-process
-:class:`~repro.service.server.ResolutionService` too -- both expose the
-same ``process_line`` / ``stopping`` / ``shutdown`` surface -- but the
-threaded transports remain the default for ``--workers 0`` so the
-single-process path is byte-for-byte what it was.
+Stdio is served by the threaded loop in :mod:`repro.service.server`
+instead: on a pipe the threaded loop is the faster of the two, and an
+event loop cannot watch a regular file at all (docs/PERFORMANCE.md,
+"Transports").
 """
 
 from __future__ import annotations
 
 import asyncio
-import sys
-import threading
 from concurrent.futures import Future
-from typing import Any, Awaitable, Callable, TextIO
+from typing import Any, Awaitable, Callable
 
-from .protocol import LINE_TOO_LONG, MAX_LINE_BYTES, encode, read_bounded_line
+from .protocol import LINE_TOO_LONG, MAX_LINE_BYTES, encode
 
 
 async def _read_bounded(stream: asyncio.StreamReader) -> "str | None":
     """One line, or ``None`` for a line over the stream's limit
     (:data:`~repro.service.protocol.MAX_LINE_BYTES`), which is read
-    through its newline and dropped."""
+    through its newline and dropped.  Bytes that are not UTF-8 are
+    replaced, so such a line is answered ``parse_error`` like any other
+    line that is not JSON."""
     try:
-        return (await stream.readuntil(b"\n")).decode("utf-8")
+        return (await stream.readuntil(b"\n")).decode("utf-8", "replace")
     except asyncio.IncompleteReadError as exc:
-        return exc.partial.decode("utf-8")  # EOF: the last line, or ""
+        return exc.partial.decode("utf-8", "replace")  # EOF: the last line, or ""
     except asyncio.LimitOverrunError:
         pass
     while True:
@@ -51,12 +53,12 @@ async def _pump_async(
     readline: Callable[[], Awaitable["str | None"]],
     write_line: Callable[[str], Awaitable[None]],
 ) -> None:
-    """The async transport loop: read, dispatch, write completions.
+    """One connection's loop: read, dispatch, write completions.
 
-    Mirrors ``server._pump``: answers an over-long line (``readline``
-    gives ``None``) with ``invalid_request``, returns on EOF or once a
-    ``shutdown`` request has been answered, then drains outstanding
-    tasks so shutdown is clean, never lossy.
+    Answers an over-long line (``readline`` gives ``None``) with
+    ``invalid_request``, returns on EOF or once a ``shutdown`` request
+    has been answered, then drains outstanding tasks so shutdown is
+    clean, never lossy.
     """
     tasks: set[asyncio.Task] = set()
 
@@ -85,84 +87,61 @@ async def _pump_async(
         await asyncio.gather(*tasks, return_exceptions=True)
 
 
-async def _stdio_main(service: Any, stdin: TextIO, stdout: TextIO) -> None:
-    loop = asyncio.get_running_loop()
-    write_lock = threading.Lock()
-
-    async def write_line(text: str) -> None:
-        with write_lock:
-            stdout.write(text + "\n")
-            stdout.flush()
-
-    try:
-        stream = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(stream), stdin
-        )
-
-        async def readline() -> "str | None":
-            return await _read_bounded(stream)
-
-    except (ValueError, OSError, AttributeError):
-        # Not a pipe/tty (a regular file, or a test double without a
-        # fileno): fall back to reading on the default executor.
-        async def readline() -> "str | None":
-            return await loop.run_in_executor(
-                None, read_bounded_line, stdin.readline
-            )
-
-    await _pump_async(service, readline, write_line)
-
-
-def serve_stdio_async(
-    service: Any, stdin: TextIO | None = None, stdout: TextIO | None = None
-) -> int:
-    """Serve JSON lines over stdio on an event loop until EOF/shutdown."""
-    try:
-        asyncio.run(
-            _stdio_main(
-                service,
-                stdin if stdin is not None else sys.stdin,
-                stdout if stdout is not None else sys.stdout,
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        service.shutdown()
-    return 0
-
-
 async def _tcp_main(service: Any, host: str, port: int) -> None:
     stopped = asyncio.Event()
+    #: Each open connection's task, with its reader and writer.
+    connections: dict[
+        asyncio.Task, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+    ] = {}
 
-    async def handle(
+    async def serve_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         async def write_line(text: str) -> None:
+            if writer.is_closing():
+                return  # client went away; nothing to tell it
             try:
                 writer.write(text.encode("utf-8") + b"\n")
                 await writer.drain()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                pass  # client went away; nothing to tell it
+            except OSError:
+                pass
 
-        await _pump_async(service, lambda: _read_bounded(reader), write_line)
         try:
+            await _pump_async(service, lambda: _read_bounded(reader), write_line)
+        finally:
             writer.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
         if service.stopping.is_set():
-            # Like the threaded TCP transport: shutdown stops the whole
-            # server, all connections, not just the issuing one.
             stopped.set()
 
-    server = await asyncio.start_server(handle, host, port, limit=MAX_LINE_BYTES)
+    def connect(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # A plain callback, not a coroutine, so every connection's task
+        # is registered the moment it exists and shutdown can await it.
+        if stopped.is_set():
+            writer.close()
+            return
+        task = asyncio.ensure_future(serve_connection(reader, writer))
+        connections[task] = (reader, writer)
+        task.add_done_callback(connections.pop)
+
+    server = await asyncio.start_server(connect, host, port, limit=MAX_LINE_BYTES)
+    # From Python 3.12.1 on, leaving ``async with server`` waits for every
+    # connection to close, so the connections are ended inside it.
     async with server:
         await stopped.wait()
+        server.close()
+        # A shutdown stops the whole server, not just the connection
+        # that asked.  Every other connection ends as if its client had
+        # closed its input: its answers in flight are still written,
+        # then it closes.
+        while connections:
+            for reader, writer in connections.values():
+                writer.transport.pause_reading()
+                reader.feed_eof()
+            await asyncio.wait(list(connections))
 
 
-def serve_tcp_async(service: Any, host: str, port: int) -> int:
-    """Serve JSON lines over TCP on an event loop; task per connection."""
+def serve_tcp(service: Any, host: str, port: int) -> int:
+    """Serve JSON lines over TCP until a ``shutdown`` request."""
     try:
         asyncio.run(_tcp_main(service, host, port))
     except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -1,8 +1,8 @@
-"""The resolution server: operation dispatch plus stdio/TCP transports.
+"""The resolution server: operation dispatch plus the stdio transport.
 
 Architecture (see ``docs/SERVICE.md`` for the wire-level view)::
 
-    transport (stdio line loop / TCP connection threads)
+    transport (stdio line loop here / asyncio TCP server, frontend.py)
         |  parse_request
         v
     ResolutionService.process
@@ -20,8 +20,13 @@ Architecture (see ``docs/SERVICE.md`` for the wire-level view)::
 
 A job answers against the session as it stood on arrival, so a queued
 request is not overtaken by a later ``session/push_rules``.  Responses
-may complete out of order; transports write them under a lock as their
-futures land, and clients match on ``id``.
+may complete out of order; transports write them as their futures land,
+and clients match on ``id``.
+
+The stdio loop (:func:`serve_stdio`) serves both deployments, and the
+shard worker runs it on its wire-frame pipe.  It keeps ``asyncio`` out
+of this module's imports: a process that only resolves in-process never
+pays for the event loop.
 
 Every work request collects into a fresh per-request
 :class:`~repro.obs.ResolutionStats` (the recorder slot is thread-local),
@@ -31,7 +36,6 @@ totals -- served by ``session/stats`` and ``server/stats``.
 
 from __future__ import annotations
 
-import socketserver
 import sys
 import threading
 import time
@@ -646,114 +650,80 @@ class ResolutionService(Service):
 
 
 # ---------------------------------------------------------------------------
-# Transports.
+# The stdio transport (TCP is the asyncio server in ``frontend.py``).
 # ---------------------------------------------------------------------------
 
 
 def _pump(
-    service: ResolutionService,
+    service: Service,
     read_line: Callable[[], "str | None"],
-    write_line: Callable[[str], None],
-) -> None:
-    """Shared transport loop: read, dispatch, write completions.
+    stdout: TextIO,
+    handle_line: "Callable[[str], dict | Future]",
+    encode_response: Callable[[dict], str],
+) -> int:
+    """The stdio loop: read, dispatch, write completions, shut down.
 
     ``read_line`` returns ``None`` for a line over
     :data:`~repro.service.protocol.MAX_LINE_BYTES` (answered with
-    ``invalid_request``) and ``""`` at EOF.  ``write_line`` must be safe
-    to call from worker callback threads (the transports pass a
-    lock-guarded writer).  Returns when the input is exhausted or a
-    ``shutdown`` request was answered; outstanding futures are drained
-    before returning so shutdown is clean, never lossy.
+    ``invalid_request``) and ``""`` at EOF.  ``handle_line`` answers one
+    line with a response dict or a Future of one; ``encode_response``
+    turns a response into its line.
+    Completions are written under a lock from whichever thread finishes
+    them.  Returns when the input is exhausted or a ``shutdown`` request
+    was answered, after every outstanding future has been written and
+    the service shut down.
     """
-    outstanding: set[Future] = set()
-    tracking = threading.Lock()
-    while True:
-        line = read_line()
-        if line is None:
-            write_line(LINE_TOO_LONG)
-            continue
-        if not line:
-            break
-        if not line.strip():
-            continue
-        outcome = service.process_line(line)
-        if isinstance(outcome, Future):
-            with tracking:
-                outstanding.add(outcome)
-
-            def _finish(future: Future) -> None:
-                with tracking:
-                    outstanding.discard(future)
-                write_line(encode(future.result()))
-
-            outcome.add_done_callback(_finish)
-            continue
-        write_line(encode(outcome))
-        if service.stopping.is_set():
-            break
-    with tracking:
-        pending = tuple(outstanding)
-    wait_futures(pending)
-
-
-def serve_stdio(
-    service: ResolutionService,
-    stdin: TextIO | None = None,
-    stdout: TextIO | None = None,
-) -> int:
-    """Serve JSON-lines over stdio until EOF or a ``shutdown`` request."""
-    reader = stdin if stdin is not None else sys.stdin
-    writer = stdout if stdout is not None else sys.stdout
     write_lock = threading.Lock()
 
     def write_line(text: str) -> None:
         with write_lock:
-            writer.write(text + "\n")
-            writer.flush()
+            stdout.write(text + "\n")
+            stdout.flush()
+
+    outstanding: set[Future] = set()
+    tracking = threading.Lock()
+
+    def finish(future: Future) -> None:
+        with tracking:
+            outstanding.discard(future)
+        write_line(encode_response(future.result()))
 
     try:
-        _pump(service, lambda: read_bounded_line(reader.readline), write_line)
+        while True:
+            line = read_line()
+            if line is None:
+                write_line(LINE_TOO_LONG)
+                continue
+            if not line:
+                break
+            if not line.strip():
+                continue
+            outcome = handle_line(line)
+            if isinstance(outcome, Future):
+                with tracking:
+                    outstanding.add(outcome)
+                outcome.add_done_callback(finish)
+                continue
+            write_line(encode_response(outcome))
+            if service.stopping.is_set():
+                break
+        with tracking:
+            pending = tuple(outstanding)
+        wait_futures(pending)
     finally:
         service.shutdown()
     return 0
 
 
-def serve_tcp(service: ResolutionService, host: str, port: int) -> int:
-    """Serve JSON-lines over TCP; one thread per connection.
-
-    A ``shutdown`` request stops the whole server (all connections), not
-    just the issuing connection.
-    """
-
-    class Handler(socketserver.StreamRequestHandler):
-        def handle(self) -> None:  # pragma: no cover - exercised via tests
-            write_lock = threading.Lock()
-
-            def write_line(text: str) -> None:
-                with write_lock:
-                    try:
-                        self.wfile.write(text.encode("utf-8") + b"\n")
-                        self.wfile.flush()
-                    except (BrokenPipeError, OSError):
-                        pass  # client went away; nothing to tell it
-
-            def read_line() -> "str | None":
-                data = read_bounded_line(self.rfile.readline)
-                return data if data is None else data.decode("utf-8")
-
-            _pump(service, read_line, write_line)
-            if service.stopping.is_set():
-                threading.Thread(target=server.shutdown, daemon=True).start()
-
-    class Server(socketserver.ThreadingTCPServer):
-        allow_reuse_address = True
-        daemon_threads = True
-
-    with Server((host, port), Handler) as server:
-        try:
-            server.serve_forever(poll_interval=0.1)
-        except KeyboardInterrupt:  # pragma: no cover
-            pass
-        finally:
-            service.shutdown()
-    return 0
+def serve_stdio(
+    service: Service, stdin: TextIO | None = None, stdout: TextIO | None = None
+) -> int:
+    """Serve JSON lines over stdio until EOF or a ``shutdown`` request."""
+    reader = stdin if stdin is not None else sys.stdin
+    return _pump(
+        service,
+        lambda: read_bounded_line(reader.readline),
+        stdout if stdout is not None else sys.stdout,
+        service.process_line,
+        encode,
+    )

@@ -7,7 +7,9 @@ sessions, derivation caches, compiled tries, bounded thread pool,
 singleflight coalescing and load shedding all live *per shard* -- and
 speaks the compact wire format of :mod:`repro.service.wire` on
 stdin/stdout: one frame per line, responses out of order, matched on
-the id field.
+the id field.  The loop is the stdio transport's own
+(:func:`repro.service.server._pump`), given a wire-frame handler and
+encoder in place of the JSON ones.
 
 A frame that does not decode is answered with a ``parse_error``
 response addressed to the frame's (best-effort) id -- the
@@ -20,67 +22,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
-from concurrent.futures import Future, wait as wait_futures
+from concurrent.futures import Future
+from functools import partial
 
 from .protocol import ErrorCode, error_response
-from .server import ResolutionService
+from .server import ResolutionService, _pump
 from . import wire
 
 
-def serve_wire(
-    service: ResolutionService, stdin=None, stdout=None
-) -> int:
-    """The worker loop: read wire frames, dispatch, write completions."""
-    reader = stdin if stdin is not None else sys.stdin
-    writer = stdout if stdout is not None else sys.stdout
-    write_lock = threading.Lock()
-    outstanding: set[Future] = set()
-    tracking = threading.Lock()
-
-    def write_response(response: dict) -> None:
-        with write_lock:
-            writer.write(wire.encode_response(response) + "\n")
-            writer.flush()
-
-    while True:
-        line = reader.readline()
-        if not line:
-            break
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            request = wire.decode_request(line)
-        except wire.WireError as exc:
-            write_response(
-                error_response(
-                    wire.peek_id(line),
-                    ErrorCode.PARSE_ERROR,
-                    f"malformed wire frame: {exc}",
-                )
-            )
-            continue
-        outcome = service.process(request)
-        if isinstance(outcome, Future):
-            with tracking:
-                outstanding.add(outcome)
-
-            def _finish(future: Future) -> None:
-                with tracking:
-                    outstanding.discard(future)
-                write_response(future.result())
-
-            outcome.add_done_callback(_finish)
-            continue
-        write_response(outcome)
-        if service.stopping.is_set():
-            break
-    with tracking:
-        pending = tuple(outstanding)
-    wait_futures(pending)
-    service.shutdown()
-    return 0
+def _handle_frame(service: ResolutionService, line: str) -> "dict | Future":
+    """One wire frame -> a response dict or a Future of one."""
+    line = line.rstrip("\n")
+    try:
+        request = wire.decode_request(line)
+    except wire.WireError as exc:
+        return error_response(
+            wire.peek_id(line), ErrorCode.PARSE_ERROR, f"malformed wire frame: {exc}"
+        )
+    return service.process(request)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,7 +61,15 @@ def main(argv: list[str] | None = None) -> int:
         coalesce=not args.no_coalesce,
         cache_dir=args.cache_dir,
     )
-    return serve_wire(service)
+    # The supervisor is this pipe's only writer and has already capped
+    # each client line, so frames are read whole, without a cap.
+    return _pump(
+        service,
+        sys.stdin.readline,
+        sys.stdout,
+        partial(_handle_frame, service),
+        wire.encode_response,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

@@ -3,8 +3,8 @@
 The sharded deployment of the resolution service (``repro serve
 --workers N``)::
 
-    clients (JSON lines) --> front-end transport (asyncio; frontend.py)
-                                  |
+    clients (JSON lines) --> transport: threaded stdio loop (server.py)
+                                  |  or asyncio TCP server (frontend.py)
                                   v
                           ShardSupervisor.process
             control ops inline | session + work ops routed
@@ -19,7 +19,11 @@ The sharded deployment of the resolution service (``repro serve
         format of repro.service.wire.
 
 Because one session's key never changes, its ``push_rules`` / ``pop`` /
-``resolve`` traffic always lands on the same warm shard.  The
+``resolve`` traffic always lands on the same warm shard.  A shard reads
+its pipe in order, so the supervisor changes its session table when it
+routes a session op, not when the shard answers (and undoes the change
+if the shard answers an error): a ``resolve`` written right behind a
+``session/new`` finds its session, as it does in a single process.  The
 supervisor keeps a *warm log* per session (creation params plus every
 pushed frame, already wire-encoded) so it can
 
@@ -390,11 +394,13 @@ class ShardSupervisor(Service):
     def _replay(self, shard: ShardProcess, record: _SessionRecord) -> None:
         """Re-warm one session onto ``shard`` from its warm log."""
         params: dict[str, Any] = {"name": record.name, **record.extras}
+        with self._lock:
+            frames = list(record.frames)
         steps = [Request(None, "session/new", params)]
         steps.extend(
             Request(None, "session/push_rules",
                     {"session": record.name, "rules": list(frame)})
-            for frame in record.frames
+            for frame in frames
         )
         for step in steps:
             response = shard.submit(step).result(timeout=_REPLAY_TIMEOUT_S)
@@ -514,7 +520,7 @@ class ShardSupervisor(Service):
             with self._lock:
                 slots = sorted(self._shards)
             slot = slots[next(self._round_robin) % len(slots)]
-            return self._dispatch(slot, request)
+            return self._dispatch(self._shard_for(slot), request)
         record = self._record_of(request.params.get("session"))
         if op == "resolve" and isinstance(request.params.get("type"), str):
             # Ship structure: the worker interns the decoded type instead
@@ -526,7 +532,7 @@ class ShardSupervisor(Service):
                 pass
             else:
                 request = Request(request.id, op, {**request.params, "type": rho})
-        return self._dispatch(record.slot, request)
+        return self._dispatch(self._shard_for(record.slot), request)
 
     def _record_of(self, name: object) -> _SessionRecord:
         with self._lock:
@@ -544,70 +550,89 @@ class ShardSupervisor(Service):
         parsed = [_parsed(r) for r in rules] if rules else []
         key = wire.session_key(name, parsed)
         slot = self._ring.lookup(key)
+        shard = self._shard_for(slot)
         record = _SessionRecord(name, key, slot, extras)
         if parsed:
             record.frames.append(parsed)
+        with self._lock:
+            # Again: another connection may have taken the name since.
+            claim_session_name(name, self._sessions, self._auto_names)
+            self._sessions[name] = record
         forward: dict[str, Any] = {"name": name, **extras}
         if parsed:
             forward["rules"] = parsed
 
-        def commit(response: dict) -> None:
-            if response.get("ok"):
-                with self._lock:
-                    self._sessions[record.name] = record
+        def settle(response: dict) -> None:
+            with self._lock:
+                if response.get("ok"):
                     self.sessions_created += 1
+                elif self._sessions.get(name) is record:
+                    del self._sessions[name]
 
         return self._dispatch(
-            slot, Request(request.id, "session/new", forward), commit
+            shard, Request(request.id, "session/new", forward), settle
         )
 
     def _route_session_op(self, request: Request) -> "dict | Future":
         op = request.op
         record = self._record_of(request.params.get("session"))
+        shard = self._shard_for(record.slot)
         if op == "session/push_rules":
             parsed = [_parsed(r) for r in rules_param(request.params.get("rules"))]
-            forward = Request(
+            request = Request(
                 request.id, op, {"session": record.name, "rules": parsed}
             )
+            with self._lock:
+                record.frames.append(parsed)
 
-            def commit(response: dict) -> None:
-                if response.get("ok"):
-                    record.frames.append(parsed)
-
-            return self._dispatch(record.slot, forward, commit)
-        if op == "session/pop":
-
-            def commit(response: dict) -> None:
-                if response.get("ok") and record.frames:
-                    record.frames.pop()
-
-            return self._dispatch(record.slot, request, commit)
-        if op == "session/close":
-
-            def commit(response: dict) -> None:
-                if response.get("ok"):
+            def settle(response: dict) -> None:
+                if not response.get("ok"):
                     with self._lock:
-                        self._sessions.pop(record.name, None)
+                        _remove_identical(record.frames, parsed)
 
-            return self._dispatch(record.slot, request, commit)
-        return self._dispatch(record.slot, request)
+            return self._dispatch(shard, request, settle)
+        if op == "session/pop":
+            with self._lock:
+                depth = len(record.frames)
+                popped = record.frames.pop() if depth else None
+
+            def settle(response: dict) -> None:
+                if popped is not None and not response.get("ok"):
+                    with self._lock:
+                        record.frames.insert(depth - 1, popped)
+
+            return self._dispatch(shard, request, settle)
+        if op == "session/close":
+            with self._lock:
+                if self._sessions.get(record.name) is record:
+                    del self._sessions[record.name]
+
+            def settle(response: dict) -> None:
+                if not response.get("ok"):
+                    with self._lock:
+                        self._sessions.setdefault(record.name, record)
+
+            return self._dispatch(shard, request, settle)
+        return self._dispatch(shard, request)
 
     def _dispatch(
         self,
-        slot: int,
+        shard: ShardProcess,
         request: Request,
-        commit: Callable[[dict], None] | None = None,
+        settle: Callable[[dict], None] | None = None,
     ) -> Future:
-        shard = self._shard_for(slot)
+        """Submit ``request`` to ``shard``; ``settle`` sees the response
+        before the caller does."""
         with self._stats_lock:
             self.stats.shard_dispatches += 1
         inner = shard.submit(request)
+        if settle is None:
+            return inner
         outer: Future = Future()
 
         def finish(future: Future) -> None:
             response = future.result()
-            if commit is not None:
-                commit(response)
+            settle(response)
             outer.set_result(response)
 
         inner.add_done_callback(finish)
@@ -695,6 +720,14 @@ class ShardSupervisor(Service):
 
 def _parsed(text: "str | Type") -> Type:
     return text if isinstance(text, Type) else parse_core_type(text)
+
+
+def _remove_identical(frames: list[list[Type]], frame: list[Type]) -> None:
+    """Drop the last entry of ``frames`` that *is* ``frame``, if any."""
+    for index in range(len(frames) - 1, -1, -1):
+        if frames[index] is frame:
+            del frames[index]
+            return
 
 
 #: The in-process facade name used by the fuzz oracle and the benches.

@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError, run_smoke
-from repro.service.server import ResolutionService, serve_tcp
+from repro.service.frontend import serve_tcp
+from repro.service.server import ResolutionService
 
 SERVE_SMALL = [
     sys.executable,
@@ -83,9 +84,6 @@ class TestStdioTransport:
 class TestTcpTransport:
     def test_two_connections_share_sessions(self):
         service = ResolutionService(workers=2, queue_depth=8)
-        server_thread = threading.Thread(
-            target=serve_tcp, args=(service, "127.0.0.1", 0), daemon=True
-        )
         # Bind on a fixed ephemeral port chosen by the OS first, so the
         # test does not race the listener: serve_tcp needs a concrete
         # port, so grab one ourselves and hand it over.

@@ -123,3 +123,55 @@ def test_unknown_ops_and_shutdown_answer_alike():
     finally:
         single.shutdown()
         sharded.shutdown()
+
+
+#: Scripts written whole before any answer is read: each request reaches
+#: ``process`` while the ones before it may still be in flight.
+PIPELINED = {
+    "new-then-resolve": [
+        ("session/new", {"name": "p", "rules": ["Int"]}),
+        ("resolve", {"session": "p", "type": "Int"}),
+    ],
+    "new-twice": [
+        ("session/new", {"name": "q", "rules": ["Int"]}),
+        ("session/new", {"name": "q", "rules": ["Bool"]}),
+        ("resolve", {"session": "q", "type": "Int"}),
+    ],
+    "push-pop-close": [
+        ("session/new", {"name": "r"}),
+        ("session/push_rules", {"session": "r", "rules": ["Int"]}),
+        ("resolve", {"session": "r", "type": "Int"}),
+        ("session/pop", {"session": "r"}),
+        ("session/pop", {"session": "r"}),
+        ("resolve", {"session": "r", "type": "Int"}),
+        ("session/close", {"session": "r"}),
+        ("resolve", {"session": "r", "type": "Int"}),
+        ("session/new", {"name": "r", "rules": ["Bool"]}),
+        ("resolve", {"session": "r", "type": "Bool"}),
+    ],
+}
+
+
+def _pipelined(svc, script):
+    from concurrent.futures import Future
+
+    from repro.service.protocol import Request
+
+    outcomes = [
+        svc.process(Request(i, op, params)) for i, (op, params) in enumerate(script)
+    ]
+    return [
+        o.result(timeout=30) if isinstance(o, Future) else o for o in outcomes
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINED))
+def test_pipelined_session_ops_answer_alike(name):
+    single = ResolutionService(workers=1, queue_depth=16)
+    sharded = ShardSupervisor(workers=2, threads=1, queue_depth=16)
+    try:
+        expected = _pipelined(single, PIPELINED[name])
+        assert _pipelined(sharded, PIPELINED[name]) == expected
+    finally:
+        single.shutdown()
+        sharded.shutdown()

@@ -2,9 +2,9 @@
 
 An over-long line is answered ``invalid_request`` with ``id: null``,
 dropped through its newline, and the connection and server keep
-serving.  The stdio cases run the real ``repro serve`` over pipes: the
-sharded front-end's asyncio pipe reader is where a long line used to
-crash the process.
+serving.  Each stream type has one transport that serves both
+deployments, so each case runs against both.  The stdio cases run the
+real ``repro serve`` over pipes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import time
 
 import pytest
 
-from repro.service.frontend import serve_tcp_async
+from repro.service.frontend import serve_tcp
 from repro.service.protocol import MAX_LINE_BYTES, read_bounded_line
-from repro.service.server import ResolutionService, serve_tcp
+from repro.service.server import ResolutionService
+from repro.service.shards import ShardSupervisor
 
 OVERLONG = b"x" * (MAX_LINE_BYTES + 10) + b"\n"
 #: Past asyncio's 64 KiB default stream limit, well under the cap.
@@ -94,14 +95,23 @@ def test_stdio_server_survives_an_over_long_line(workers):
         proc.stdout.close()
 
 
-@pytest.mark.parametrize("serve", [serve_tcp, serve_tcp_async])
-def test_tcp_server_survives_an_over_long_line(serve):
-    service = ResolutionService(workers=1, queue_depth=4)
+@pytest.mark.parametrize(
+    "deployment",
+    [
+        pytest.param(lambda: ResolutionService(workers=1, queue_depth=4), id="single"),
+        pytest.param(
+            lambda: ShardSupervisor(workers=1, threads=1, queue_depth=4),
+            id="sharded",
+        ),
+    ],
+)
+def test_tcp_server_survives_an_over_long_line(deployment):
+    service = deployment()
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     thread = threading.Thread(
-        target=serve, args=(service, "127.0.0.1", port), daemon=True
+        target=serve_tcp, args=(service, "127.0.0.1", port), daemon=True
     )
     thread.start()
     conn = None
